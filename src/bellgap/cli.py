@@ -28,7 +28,7 @@ from . import __version__, io
 from .errors import DomainError, NumericalError, SchemaError, ValidationError
 from .lhv import lhv_bound
 from .loophole import EFFICIENCY_MODES, canonicalize, critical_efficiency
-from .optimize import ENGINES, OptimizerConfig, _sdn_signal, maximize_r, r_value
+from .optimize import OptimizerConfig, _sdn_signal, maximize_r, r_value
 from .quantum import born_behavior, concurrence, tilted_functional, tilted_realization
 from .stats import error_propagation, frequencies, kl_divergence, ns_project, poisson_sample
 
@@ -85,23 +85,6 @@ class AnalysisReport:
         }
 
 
-def _functional_block(name: str, f, counts) -> dict:
-    rep = error_propagation(f, counts)
-    c = lhv_bound(f).bound
-    dm = float(counts.scenario.d * counts.scenario.m)
-    r = r_value(rep.q, rep.delta_q, c, dm)
-    sdn = _sdn_signal(rep.q, rep.delta_q, c)
-    return {
-        "name": name,
-        "q": rep.q,
-        "delta_q": rep.delta_q,
-        "c": c,
-        "sdn": sdn if math.isfinite(sdn) else repr(sdn),
-        "r": r,
-        "nonlocal": r > 1.0,
-    }
-
-
 def _efficiency_blocks(name: str, f, behavior) -> list[dict]:
     """Critical efficiencies of f on the behavior, one block per mode.
 
@@ -126,7 +109,6 @@ def _config_payload(cfg: OptimizerConfig) -> dict:
 
 
 def _add_optimizer_flags(parser) -> None:
-    parser.add_argument("--engine", choices=ENGINES, default=None, help="search engine")
     parser.add_argument("--restarts", type=int, default=None, help="independent restarts")
     parser.add_argument("--max-iters", type=int, default=None, help="iterations per restart")
     parser.add_argument("--step-init", type=float, default=None, help="initial ascent step")
@@ -150,7 +132,8 @@ def _optimizer_config(args) -> OptimizerConfig:
         if unknown:
             raise SchemaError(f"{args.config}: unknown optimizer fields {sorted(unknown)}")
         merged.update(payload)
-    for flag in ("engine", "restarts", "max_iters", "step_init", "convergence_tol", "denom_floor"):
+    # Every field but the seed has its own flag; the seed is always given.
+    for flag in allowed - {"seed"}:
         value = getattr(args, flag)
         if value is not None:
             merged[flag] = value

@@ -196,6 +196,12 @@ def rescale(functional: BellFunctional, kappa: float) -> BellFunctional:
     )
 
 
+def _folded_joint(f: BellFunctional) -> np.ndarray:
+    """Per-entry weight s^{ab}_{xy} + s^a_{Ax}/m + s^b_{By}/m of each probability."""
+    m = f.scenario.m
+    return f.joint + f.marginal_a[:, None, :, None] / m + f.marginal_b[None, :, None, :] / m
+
+
 def absorb_marginals(functional: BellFunctional) -> BellFunctional:
     """Fold marginal blocks into the joint table.
 
@@ -203,10 +209,4 @@ def absorb_marginals(functional: BellFunctional) -> BellFunctional:
     settings, the returned joint-only functional evaluates identically to
     the original on every behavior.
     """
-    m = functional.scenario.m
-    joint = (
-        functional.joint
-        + functional.marginal_a[:, None, :, None] / m
-        + functional.marginal_b[None, :, None, :] / m
-    )
-    return BellFunctional(functional.scenario, joint)
+    return BellFunctional(functional.scenario, _folded_joint(functional))

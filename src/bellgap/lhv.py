@@ -6,7 +6,9 @@ maximum of d^(2m) linear scores.  Two equivalent enumeration routes are
 used: small scenarios precompute the full strategy-table matrix, larger
 ones enumerate Alice's assignments and exploit that Bob's best response
 decomposes per setting.  Both enumerate in lexicographic order on
-(assign_a, assign_b).
+(assign_a, assign_b).  One cached enumerator per scenario picks the route;
+the bound, its maximizers, the subgradient and the optimizer's bound
+oracle all go through it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class LhvResult:
     maximizers: tuple[DeterministicStrategy, ...]
 
 
-@lru_cache(maxsize=None)
 def _assignment_array(m: int, d: int) -> np.ndarray:
     """All d^m outcome assignments, lexicographic, shape (d^m, m)."""
     arr = np.array(list(itertools.product(range(d), repeat=m)), dtype=np.intp)
@@ -58,73 +59,152 @@ def _assignment_array(m: int, d: int) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
-def _strategy_tables(m: int, d: int):
-    """One-hot joint/marginal tables of all strategy pairs, lexicographic.
+def _tie_tolerance(bound: float, tie_tolerance: float | None) -> float:
+    return 1e-9 * max(1.0, abs(bound)) if tie_tolerance is None else tie_tolerance
 
-    Returns (J, MA, MB) with shapes (n, m*m*d*d), (n, m*d), (n, m*d) where
-    n = d^(2m); row k corresponds to alice index k // d^m, bob index
-    k % d^m into the lexicographic assignment array.
+
+class _MatrixRoute:
+    """Scores all strategy pairs with one product against one-hot tables.
+
+    tables_j, tables_a and tables_b have shapes (n, m*m*d*d), (n, m*d) and
+    (n, m*d) with n = d^(2m); row k belongs to Alice's assignment k // d^m
+    and Bob's k % d^m, so rows run in lexicographic order.
     """
-    assign = _assignment_array(m, d)
-    n_side = assign.shape[0]
-    n = n_side * n_side
-    alice = np.repeat(np.arange(n_side), n_side)
-    bob = np.tile(np.arange(n_side), n_side)
-    ax = assign[alice]  # (n, m): Alice's outcome for each x
-    by = assign[bob]  # (n, m): Bob's outcome for each y
 
-    xs = np.arange(m)
-    rows = np.arange(n)
-    joint = np.zeros((n, m, m, d, d))
-    joint[rows[:, None, None], xs[None, :, None], xs[None, None, :],
-          ax[:, :, None], by[:, None, :]] = 1.0
-    marg_a = np.zeros((n, m, d))
-    marg_a[rows[:, None], xs[None, :], ax] = 1.0
-    marg_b = np.zeros((n, m, d))
-    marg_b[rows[:, None], xs[None, :], by] = 1.0
+    def __init__(self, m: int, d: int):
+        self.assign = _assignment_array(m, d)
+        n_side = self.assign.shape[0]
+        n = n_side * n_side
+        ax = self.assign[np.repeat(np.arange(n_side), n_side)]  # (n, m): Alice's outcome per x
+        by = self.assign[np.tile(np.arange(n_side), n_side)]  # (n, m): Bob's outcome per y
+        xs, rows = np.arange(m), np.arange(n)
+        joint = np.zeros((n, m, m, d, d))
+        joint[rows[:, None, None], xs[None, :, None], xs[None, None, :],
+              ax[:, :, None], by[:, None, :]] = 1.0
+        marg_a = np.zeros((n, m, d))
+        marg_a[rows[:, None], xs[None, :], ax] = 1.0
+        marg_b = np.zeros((n, m, d))
+        marg_b[rows[:, None], xs[None, :], by] = 1.0
+        self.tables_j, self.tables_a, self.tables_b = (
+            t.reshape(n, -1) for t in (joint, marg_a, marg_b)
+        )
+        for t in (self.tables_j, self.tables_a, self.tables_b):
+            t.setflags(write=False)
 
-    tables = (joint.reshape(n, -1), marg_a.reshape(n, -1), marg_b.reshape(n, -1))
-    for t in tables:
-        t.setflags(write=False)
-    return tables
+    def _scores(self, joint, marginals):
+        scores = self.tables_j @ joint
+        if marginals is not None:
+            scores = scores + self.tables_a @ marginals[0].ravel()
+            scores = scores + self.tables_b @ marginals[1].ravel()
+        return scores
+
+    def best(self, joint, marginals=None):
+        """(bound, flat joint table of the lexicographically first maximizer)."""
+        scores = self._scores(joint, marginals)
+        k = int(np.argmax(scores))
+        return float(scores[k]), self.tables_j[k]
+
+    def maximizers(self, joint, marginals, tie_tolerance):
+        scores = self._scores(joint, marginals)
+        bound = float(scores.max())
+        hits = np.nonzero(scores >= bound - _tie_tolerance(bound, tie_tolerance))[0]
+        n_side = self.assign.shape[0]
+        return bound, [
+            DeterministicStrategy(tuple(self.assign[k // n_side]), tuple(self.assign[k % n_side]))
+            for k in hits
+        ]
+
+    def smooth(self, joint, tau):
+        scores = self.tables_j @ joint
+        peak = scores.max()
+        w = np.exp((scores - peak) / tau)
+        z = w.sum()
+        return float(peak + tau * np.log(z)), self.tables_j.T @ (w / z)
 
 
-def _check_cap(scenario: Scenario, enumeration_cap: int) -> int:
+class _ResponseRoute:
+    """Enumerates Alice's assignments; Bob's best response decomposes per setting."""
+
+    def __init__(self, m: int, d: int):
+        self.shape = (m, m, d, d)
+        self.assign = _assignment_array(m, d)
+        self.xs = np.arange(m)
+        # One-hot of Alice's assignments, used to scatter softmax weights.
+        self.a_hot = np.zeros((self.assign.shape[0], m, d))
+        self.a_hot[np.arange(self.assign.shape[0])[:, None], self.xs[None, :], self.assign] = 1.0
+
+    def _scores(self, joint, marginals):
+        """(scores, resp): resp[i, y, b] is the total weight of Bob answering
+        b on setting y given Alice's i-th assignment, scores[i] the best total."""
+        xs, assign = self.xs, self.assign
+        # joint transposed to [x, a, y, b], then Alice's outcomes gathered per x.
+        resp = joint.reshape(self.shape).transpose(0, 2, 1, 3)[xs[None, :], assign].sum(axis=1)
+        if marginals is None:
+            return resp.max(axis=2).sum(axis=1), resp
+        resp = resp + marginals[1][None, :, :]
+        base = marginals[0][xs[None, :], assign].sum(axis=1)
+        return base + resp.max(axis=2).sum(axis=1), resp
+
+    def best(self, joint, marginals=None):
+        """(bound, flat joint table of the lexicographically first maximizer)."""
+        scores, resp = self._scores(joint, marginals)
+        i = int(np.argmax(scores))
+        best_b = resp[i].argmax(axis=1)
+        table = np.zeros(self.shape)
+        table[self.xs[:, None], self.xs[None, :], self.assign[i][:, None], best_b[None, :]] = 1.0
+        return float(scores[i]), table.ravel()
+
+    def maximizers(self, joint, marginals, tie_tolerance):
+        scores, resp = self._scores(joint, marginals)
+        bound = float(scores.max())
+        tie_tolerance = _tie_tolerance(bound, tie_tolerance)
+        found = []
+        for i in np.nonzero(scores >= bound - tie_tolerance)[0]:
+            budget = scores[i] - bound + tie_tolerance
+            deficits = resp[i].max(axis=1)[:, None] - resp[i]  # (y, b), all >= 0
+            allowed = [np.nonzero(row <= budget)[0] for row in deficits]
+            for choice in itertools.product(*allowed):
+                if deficits[self.xs, choice].sum() <= budget:
+                    found.append(
+                        DeterministicStrategy(tuple(self.assign[i]), tuple(int(b) for b in choice))
+                    )
+        return bound, found
+
+    def smooth(self, joint, tau):
+        _, resp = self._scores(joint, None)
+        # The pair sum factorizes over Bob's settings for fixed Alice
+        # assignment, so the log-sum-exp needs only d^m * m * d work.
+        peak_b = resp.max(axis=2, keepdims=True)
+        w_b = np.exp((resp - peak_b) / tau)
+        z_b = w_b.sum(axis=2, keepdims=True)
+        per_alice = (peak_b[:, :, 0] + tau * np.log(z_b[:, :, 0])).sum(axis=1)
+        peak = per_alice.max()
+        w_a = np.exp((per_alice - peak) / tau)
+        z_a = w_a.sum()
+        bound = peak + tau * np.log(z_a)
+        grad = np.einsum("i,ixa,iyb->xyab", w_a / z_a, self.a_hot, w_b / z_b)
+        return float(bound), grad.ravel()
+
+
+@lru_cache(maxsize=None)
+def _cached_route(m: int, d: int, matrix: bool):
+    """The only enumeration cache: tables and assignments live on the route."""
+    return _MatrixRoute(m, d) if matrix else _ResponseRoute(m, d)
+
+
+def _route(scenario: Scenario, enumeration_cap: int):
+    """The scenario's cached enumerator, after the enumeration-cap check."""
     total = scenario.d ** (2 * scenario.m)
     if total > enumeration_cap:
         raise CapacityError(
             f"{total} deterministic strategies exceed the enumeration cap {enumeration_cap}"
         )
-    return total
+    return _cached_route(scenario.m, scenario.d, total <= _MATRIX_PATH_LIMIT)
 
 
-def _matrix_scores(functional: BellFunctional) -> np.ndarray:
-    m, d = functional.scenario.m, functional.scenario.d
-    tables_j, tables_a, tables_b = _strategy_tables(m, d)
-    scores = tables_j @ functional.joint.ravel()
-    if not functional.is_joint_only:
-        scores = scores + tables_a @ functional.marginal_a.ravel()
-        scores = scores + tables_b @ functional.marginal_b.ravel()
-    return scores
-
-
-def _alice_scores(functional: BellFunctional):
-    """Per-Alice-assignment data for the best-response route.
-
-    Returns (scores, resp, base) where resp[i, y, b] is the total weight of
-    Bob answering b on setting y given Alice's i-th assignment, base[i] is
-    Alice's own marginal contribution, and scores[i] is the best total.
-    """
-    m, d = functional.scenario.m, functional.scenario.d
-    assign = _assignment_array(m, d)
-    xs = np.arange(m)
-    # joint transposed to [x, a, y, b], then Alice's outcomes gathered per x.
-    j_xayb = functional.joint.transpose(0, 2, 1, 3)
-    resp = j_xayb[xs[None, :], assign].sum(axis=1) + functional.marginal_b[None, :, :]
-    base = functional.marginal_a[xs[None, :], assign].sum(axis=1)
-    scores = base + resp.max(axis=2).sum(axis=1)
-    return scores, resp, base
+def _parts(f: BellFunctional):
+    """(flat joint, marginals or None when the functional is joint-only)."""
+    return f.joint.ravel(), None if f.is_joint_only else (f.marginal_a, f.marginal_b)
 
 
 def lhv_bound(
@@ -134,37 +214,8 @@ def lhv_bound(
     tie_tolerance: float | None = None,
 ) -> LhvResult:
     """Exact LHV bound and all maximizing strategies, by exhaustive enumeration."""
-    sc = functional.scenario
-    total = _check_cap(sc, enumeration_cap)
-    n_side = sc.d**sc.m
-    assign = _assignment_array(sc.m, sc.d)
-
-    if total <= _MATRIX_PATH_LIMIT:
-        scores = _matrix_scores(functional)
-        bound = float(scores.max())
-        if tie_tolerance is None:
-            tie_tolerance = 1e-9 * max(1.0, abs(bound))
-        hits = np.nonzero(scores >= bound - tie_tolerance)[0]
-        maximizers = tuple(
-            DeterministicStrategy(tuple(assign[k // n_side]), tuple(assign[k % n_side]))
-            for k in hits
-        )
-        return LhvResult(bound, maximizers)
-
-    scores, resp, base = _alice_scores(functional)
-    bound = float(scores.max())
-    if tie_tolerance is None:
-        tie_tolerance = 1e-9 * max(1.0, abs(bound))
-    maximizers = []
-    for i in np.nonzero(scores >= bound - tie_tolerance)[0]:
-        budget = scores[i] - bound + tie_tolerance
-        deficits = resp[i].max(axis=1)[:, None] - resp[i]  # (y, b), all >= 0
-        allowed = [np.nonzero(deficits[y] <= budget)[0] for y in range(sc.m)]
-        for choice in itertools.product(*allowed):
-            if deficits[np.arange(sc.m), choice].sum() <= budget:
-                maximizers.append(
-                    DeterministicStrategy(tuple(assign[i]), tuple(int(b) for b in choice))
-                )
+    route = _route(functional.scenario, enumeration_cap)
+    bound, maximizers = route.maximizers(*_parts(functional), tie_tolerance)
     return LhvResult(bound, tuple(maximizers))
 
 
@@ -178,23 +229,8 @@ def lhv_subgradient(
     respect to the joint block; the lexicographic tie-break makes the
     choice deterministic.
     """
-    sc = functional.scenario
-    total = _check_cap(sc, enumeration_cap)
-    n_side = sc.d**sc.m
-    assign = _assignment_array(sc.m, sc.d)
-
-    if total <= _MATRIX_PATH_LIMIT:
-        tables_j = _strategy_tables(sc.m, sc.d)[0]
-        k = int(np.argmax(_matrix_scores(functional)))
-        return tables_j[k].reshape(sc.joint_shape).copy()
-
-    scores, resp, _ = _alice_scores(functional)
-    i = int(np.argmax(scores))
-    best_b = resp[i].argmax(axis=1)
-    table = np.zeros(sc.joint_shape)
-    xs = np.arange(sc.m)
-    table[xs[:, None], xs[None, :], assign[i][:, None], best_b[None, :]] = 1.0
-    return table
+    _, table = _route(functional.scenario, enumeration_cap).best(*_parts(functional))
+    return table.reshape(functional.scenario.joint_shape).copy()
 
 
 def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> Behavior:
@@ -225,56 +261,13 @@ def make_joint_bound_oracle(scenario: Scenario, *, enumeration_cap: int = DEFAUL
 
     a smooth convex upper bound on C whose gradient blends the tables of
     near-maximal strategies; optimizers anneal tau to zero to avoid
-    stalling on the kinks of the exact bound.  Precomputes per-scenario
-    enumeration structures once; the returned gradient row must not be
-    mutated.
+    stalling on the kinks of the exact bound.  The enumeration structures
+    are cached per scenario; the returned gradient row must not be mutated.
     """
-    total = _check_cap(scenario, enumeration_cap)
-    m, d = scenario.m, scenario.d
-
-    if total <= _MATRIX_PATH_LIMIT:
-        tables_j = _strategy_tables(m, d)[0]
-
-        def oracle(s_flat: np.ndarray, tau: float = 0.0):
-            scores = tables_j @ s_flat
-            if tau <= 0.0:
-                k = int(np.argmax(scores))
-                return float(scores[k]), tables_j[k]
-            peak = scores.max()
-            w = np.exp((scores - peak) / tau)
-            z = w.sum()
-            return float(peak + tau * np.log(z)), tables_j.T @ (w / z)
-
-        return oracle
-
-    assign = _assignment_array(m, d)
-    xs = np.arange(m)
-    # One-hot of Alice's assignments, used to scatter softmax weights.
-    n_side = assign.shape[0]
-    a_hot = np.zeros((n_side, m, d))
-    a_hot[np.arange(n_side)[:, None], xs[None, :], assign] = 1.0
+    route = _route(scenario, enumeration_cap)
+    best, smooth = route.best, route.smooth
 
     def oracle(s_flat: np.ndarray, tau: float = 0.0):
-        joint = s_flat.reshape(scenario.joint_shape)
-        resp = joint.transpose(0, 2, 1, 3)[xs[None, :], assign].sum(axis=1)
-        if tau <= 0.0:
-            scores = resp.max(axis=2).sum(axis=1)
-            i = int(np.argmax(scores))
-            best_b = resp[i].argmax(axis=1)
-            table = np.zeros(scenario.joint_shape)
-            table[xs[:, None], xs[None, :], assign[i][:, None], best_b[None, :]] = 1.0
-            return float(scores[i]), table.ravel()
-        # The pair sum factorizes over Bob's settings for fixed Alice
-        # assignment, so the log-sum-exp needs only d^m * m * d work.
-        peak_b = resp.max(axis=2, keepdims=True)
-        w_b = np.exp((resp - peak_b) / tau)
-        z_b = w_b.sum(axis=2, keepdims=True)
-        per_alice = (peak_b[:, :, 0] + tau * np.log(z_b[:, :, 0])).sum(axis=1)
-        peak = per_alice.max()
-        w_a = np.exp((per_alice - peak) / tau)
-        z_a = w_a.sum()
-        bound = peak + tau * np.log(z_a)
-        grad = np.einsum("i,ixa,iyb->xyab", w_a / z_a, a_hot, w_b / z_b)
-        return float(bound), grad.ravel()
+        return best(s_flat) if tau <= 0.0 else smooth(s_flat, tau)
 
     return oracle

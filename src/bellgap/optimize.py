@@ -9,6 +9,15 @@ propagated Poisson error, C its LHV bound, and the d*m shift keeps the
 denominator away from zero.  Data admits no local model exactly when some
 functional reaches R > 1.  The search runs over joint-only coefficients in
 the box [-1, 1]^((dm)^2) with independent random restarts.
+
+When m > d the box holds points with C + dm <= 0, since a strategy can
+score as low as -m^2 < -dm.  Near that boundary C + dm -> 0+ while the
+numerator can stay positive, so R is unbounded above: on chained-Bell 3x2
+counts (concurrence 0.582, N = 1e5 per setting, sampling seed 77),
+s = -1 + 0.3003 g, with g the chained functional shifted to be nonnegative
+per block, has C + dm = 0.003 and R = 11.2.  The restart search does not
+reach this region and reports R = 1.021 there; nothing here handles the
+pole, so an exact maximizer of R must exclude it first.
 """
 
 from __future__ import annotations
@@ -17,18 +26,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .core import BellFunctional, absorb_marginals, rescale
 from .errors import DegenerateObjectiveError, DomainError
 from .lhv import lhv_bound, make_joint_bound_oracle
-from .stats import CountTable, error_propagation
+from .stats import CountTable, error_propagation, propagate
 
 # Sentinel returned when the shifted denominator C + dm falls below the
-# floor; finite so direct-search engines can climb back out.
+# floor; finite, so restart traces hold only finite numbers.
 PENALTY_R = -1.0e6
-
-ENGINES = ("gradient", "nelder_mead", "differential_evolution", "simulated_annealing")
 
 # Subgradient of dQ is taken as zero below this; dQ is nondifferentiable
 # at zero and the set is measure-zero anyway.
@@ -55,9 +61,8 @@ _TAU_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Engine selection and search-budget knobs for maximize_r."""
+    """Search-budget knobs for maximize_r."""
 
-    engine: str = "gradient"
     restarts: int = 200
     seed: int = 0
     max_iters: int = 5000
@@ -66,8 +71,6 @@ class OptimizerConfig:
     denom_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise DomainError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         for name in ("restarts", "max_iters"):
             if int(getattr(self, name)) < 1:
                 raise DomainError(f"{name} must be a positive integer")
@@ -144,33 +147,24 @@ class _CountModel:
     """Cached frequency/total tables for fast joint-only Q and dQ evaluation."""
 
     def __init__(self, counts: CountTable):
-        self.scenario = counts.scenario
+        self.shape = counts.scenario.joint_shape
         self.totals = counts.block_totals().astype(float)
         self.freq = counts.c / self.totals[:, :, None, None]
         self.freq_flat = self.freq.ravel()
         self.counts = counts.c.astype(float)
 
     def q_dq(self, s_flat: np.ndarray) -> tuple[float, float]:
-        s = s_flat.reshape(self.scenario.joint_shape)
-        block_mean = (s * self.freq).sum(axis=(2, 3))
-        partials = (s - block_mean[:, :, None, None]) / self.totals[:, :, None, None]
-        q = float(self.freq_flat @ s_flat)
-        dq = float(np.sqrt((partials**2 * self.counts).sum()))
-        return q, dq
+        _, _, dq = propagate(s_flat.reshape(self.shape), self.freq, self.totals, self.counts)
+        return float(self.freq_flat @ s_flat), dq
 
     def q_dq_grads(self, s_flat: np.ndarray):
         """(q, dq, grad of q, grad of dq); the dq gradient is zeroed at dq ~ 0."""
-        s = s_flat.reshape(self.scenario.joint_shape)
-        block_mean = (s * self.freq).sum(axis=(2, 3))
-        centered = s - block_mean[:, :, None, None]
-        partials = centered / self.totals[:, :, None, None]
-        q = float(self.freq_flat @ s_flat)
-        dq = float(np.sqrt((partials**2 * self.counts).sum()))
+        centered, _, dq = propagate(s_flat.reshape(self.shape), self.freq, self.totals, self.counts)
         if dq < _DQ_GRAD_FLOOR:
             grad_dq = np.zeros_like(s_flat)
         else:
             grad_dq = (self.freq * centered / self.totals[:, :, None, None]).ravel() / dq
-        return q, dq, self.freq_flat, grad_dq
+        return float(self.freq_flat @ s_flat), dq, self.freq_flat, grad_dq
 
 
 def _run_gradient(model, bound_oracle, dm, cfg, s0):
@@ -263,51 +257,6 @@ def _run_gradient(model, bound_oracle, dm, cfg, s0):
     return s, r
 
 
-def _run_scipy(model, bound_oracle, dm, cfg, s0, rng):
-    def neg_r(s):
-        q, dq = model.q_dq(np.asarray(s, dtype=float))
-        c, _ = bound_oracle(np.asarray(s, dtype=float))
-        return -r_value(q, dq, c, dm, cfg.denom_floor)
-
-    n = s0.size
-    bounds = [(-1.0, 1.0)] * n
-    if cfg.engine == "nelder_mead":
-        res = scipy.optimize.minimize(
-            neg_r,
-            s0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "maxiter": cfg.max_iters,
-                "fatol": cfg.convergence_tol,
-                "xatol": 1e-8,
-                "adaptive": True,
-            },
-        )
-    elif cfg.engine == "differential_evolution":
-        res = scipy.optimize.differential_evolution(
-            neg_r,
-            bounds,
-            x0=s0,
-            rng=rng,
-            maxiter=cfg.max_iters,
-            tol=cfg.convergence_tol,
-            polish=False,
-            updating="immediate",
-            workers=1,
-        )
-    else:  # simulated_annealing
-        res = scipy.optimize.dual_annealing(
-            neg_r,
-            bounds,
-            x0=s0,
-            rng=rng,
-            maxiter=min(cfg.max_iters, 1000),
-        )
-    s_best = np.clip(np.asarray(res.x, dtype=float), -1.0, 1.0)
-    return s_best, -neg_r(s_best)
-
-
 def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
     """Best R over independent random restarts in the coefficient box.
 
@@ -332,10 +281,7 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     for i in range(cfg.restarts):
         rng = np.random.default_rng([seed, i])
         s0 = rng.uniform(-1.0, 1.0, n)
-        if cfg.engine == "gradient":
-            s_i, r_i = _run_gradient(model, bound_oracle, dm, cfg, s0)
-        else:
-            s_i, r_i = _run_scipy(model, bound_oracle, dm, cfg, s0, rng)
+        s_i, r_i = _run_gradient(model, bound_oracle, dm, cfg, s0)
         trace.append(float(r_i))
         if r_i <= PENALTY_R:
             continue

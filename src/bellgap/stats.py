@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse
 from scipy.optimize import Bounds, LinearConstraint, minimize
 
-from .core import Behavior, BellFunctional, Scenario, INGEST_TOL, ns_residual
+from .core import Behavior, BellFunctional, Scenario, INGEST_TOL, _folded_joint, ns_residual
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -95,10 +95,16 @@ def poisson_sample(b: Behavior, n_per_setting: int, seed: int) -> CountTable:
     return CountTable(b.scenario, rng.poisson(n * b.p))
 
 
-def _effective_weights(f: BellFunctional) -> np.ndarray:
-    """Per-entry weight s^{ab}_{xy} + s^a_{Ax}/m + s^b_{By}/m of each frequency."""
-    m = f.scenario.m
-    return f.joint + f.marginal_a[:, None, :, None] / m + f.marginal_b[None, :, None, :] / m
+def propagate(weights: np.ndarray, freq: np.ndarray, totals: np.ndarray, counts: np.ndarray):
+    """Linear Poisson error propagation of per-entry frequency weights.
+
+    Returns (centered, partials, delta_q): the weights centered on their
+    frequency-weighted block mean, the partials dQ/dc(ab|xy) = centered /
+    N(x, y), and delta_q = sqrt(sum partials^2 * c).
+    """
+    centered = weights - (weights * freq).sum(axis=(2, 3))[:, :, None, None]
+    partials = centered / totals[:, :, None, None]
+    return centered, partials, float(np.sqrt((partials**2 * counts).sum()))
 
 
 def error_propagation(f: BellFunctional, counts: CountTable) -> ErrorReport:
@@ -109,13 +115,10 @@ def error_propagation(f: BellFunctional, counts: CountTable) -> ErrorReport:
         )
     totals = counts.block_totals().astype(float)
     freq = counts.c / totals[:, :, None, None]
-    e = _effective_weights(f)
-    q = float(np.vdot(e, freq))
-    block_mean = (e * freq).sum(axis=(2, 3))
-    partials = (e - block_mean[:, :, None, None]) / totals[:, :, None, None]
-    delta_q = float(np.sqrt((partials**2 * counts.c).sum()))
+    e = _folded_joint(f)
+    _, partials, delta_q = propagate(e, freq, totals, counts.c)
     partials.setflags(write=False)
-    return ErrorReport(q, delta_q, partials)
+    return ErrorReport(float(np.vdot(e, freq)), delta_q, partials)
 
 
 def kl_divergence(f: Behavior, p: Behavior) -> float:

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line pipeline, run in-process via main()."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bellgap import (
+    OptimizerConfig,
     Scenario,
     io,
     lhv_bound,
@@ -15,7 +17,7 @@ from bellgap import (
     tilted_functional,
     uniform_behavior,
 )
-from bellgap.cli import main
+from bellgap.cli import build_parser, main
 from bellgap.stats import error_propagation
 
 CHSH = Scenario(2, 2)
@@ -184,10 +186,20 @@ class TestOptimize:
 
     def test_unknown_config_field_rejected(self, data_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"walkers": 5}))
         out = tmp_path / "r.json"
-        assert self.run(data_dir, out, ["--config", str(cfg_path)]) == 2
-        assert "walkers" in capsys.readouterr().err
+        # "engine" was a field until the search engines were reduced to one.
+        for field, value in (("walkers", 5), ("engine", "gradient")):
+            cfg_path.write_text(json.dumps({field: value}))
+            assert self.run(data_dir, out, ["--config", str(cfg_path)]) == 2
+            assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, out_flag", [("optimize", "--out"), ("report", "--out-dir")])
+    def test_every_config_field_but_the_seed_has_a_flag(self, command, out_flag):
+        args = build_parser().parse_args([command, "c.json", "--seed", "1", out_flag, "o"])
+        for field in fields(OptimizerConfig):
+            assert hasattr(args, field.name), field.name
+            if field.name != "seed":
+                assert getattr(args, field.name) is None, field.name
 
     def test_local_data_reports_the_baseline(self, data_dir, tmp_path, capsys):
         out = tmp_path / "u.json"

@@ -25,6 +25,11 @@ from helpers import random_functional
 
 CHSH = Scenario(2, 2)
 
+# The two enumeration routes are compared on these scenarios, all below
+# the matrix-route limit, by forcing the best-response route with the
+# limit set to 0.  Each test loops over them so its id stays the same.
+ROUTE_SCENARIOS = (CHSH, Scenario(3, 2), Scenario(4, 2), Scenario(3, 3))
+
 
 def brute_force_bound(f: BellFunctional) -> float:
     """Independent LHV maximum: plain Python loops over all strategy pairs."""
@@ -132,12 +137,20 @@ class TestBestResponsePath:
     @pytest.mark.parametrize("seed", range(6))
     def test_bound_and_maximizers_agree(self, seed, monkeypatch):
         rng = np.random.default_rng(200 + seed)
-        f = random_functional(CHSH, rng)
-        via_matrix = lhv_bound(f)
+        # Rounded coefficients in odd seeds make ties, so maximizer sets
+        # with several members are compared too.
+        fs = [random_functional(sc, rng) for sc in ROUTE_SCENARIOS]
+        if seed % 2:
+            fs = [BellFunctional(f.scenario, np.round(f.joint), np.round(f.marginal_a),
+                                 np.round(f.marginal_b)) for f in fs]
+        via_matrix = [lhv_bound(f) for f in fs]
         monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
-        via_loop = lhv_bound(f)
-        np.testing.assert_allclose(via_loop.bound, via_matrix.bound, rtol=1e-13)
-        assert set(via_loop.maximizers) == set(via_matrix.maximizers)
+        for f, ref in zip(fs, via_matrix):
+            via_loop = lhv_bound(f)
+            np.testing.assert_allclose(
+                via_loop.bound, ref.bound, rtol=1e-13, err_msg=str(f.scenario)
+            )
+            assert set(via_loop.maximizers) == set(ref.maximizers), f.scenario
 
     def test_tied_bob_responses_are_all_reported(self, monkeypatch):
         # Bob's settings decouple, so ties multiply across settings.
@@ -154,11 +167,12 @@ class TestBestResponsePath:
 
     def test_subgradient_agrees(self, monkeypatch):
         rng = np.random.default_rng(321)
-        f = random_functional(CHSH, rng, with_marginals=False)
-        via_matrix = lhv_subgradient(f)
+        fs = [random_functional(sc, rng, with_marginals=False) for sc in ROUTE_SCENARIOS]
+        fs += [random_functional(sc, rng) for sc in ROUTE_SCENARIOS]
+        via_matrix = [lhv_subgradient(f) for f in fs]
         monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
-        via_loop = lhv_subgradient(f)
-        np.testing.assert_array_equal(via_loop, via_matrix)
+        for f, ref in zip(fs, via_matrix):
+            np.testing.assert_array_equal(lhv_subgradient(f), ref, err_msg=str(f.scenario))
 
 
 class TestSubgradient:
@@ -272,12 +286,15 @@ class TestJointBoundOracle:
     @pytest.mark.parametrize("tau", [0.0, 0.25])
     def test_loop_path_oracle_agrees(self, tau, monkeypatch):
         rng = np.random.default_rng(63)
-        s = rng.normal(size=16)
-        ref_bound, ref_grad = make_joint_bound_oracle(CHSH)(s, tau)
+        points = [(sc, rng.normal(size=sc.m**2 * sc.d**2)) for sc in ROUTE_SCENARIOS]
+        refs = [make_joint_bound_oracle(sc)(s, tau) for sc, s in points]
         monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
-        bound, grad = make_joint_bound_oracle(CHSH)(s, tau)
-        np.testing.assert_allclose(bound, ref_bound, rtol=1e-12)
-        np.testing.assert_allclose(np.asarray(grad), np.asarray(ref_grad), atol=1e-12)
+        for (sc, s), (ref_bound, ref_grad) in zip(points, refs):
+            bound, grad = make_joint_bound_oracle(sc)(s, tau)
+            np.testing.assert_allclose(bound, ref_bound, rtol=1e-12, err_msg=str(sc))
+            np.testing.assert_allclose(
+                np.asarray(grad), np.asarray(ref_grad), atol=1e-12, err_msg=str(sc)
+            )
 
     def test_capacity_error_at_construction(self):
         with pytest.raises(CapacityError):

@@ -48,12 +48,7 @@ FAST = OptimizerConfig(restarts=6, seed=123)
 class TestOptimizerConfig:
     def test_defaults_are_valid(self):
         cfg = OptimizerConfig()
-        assert cfg.engine == "gradient"
         assert cfg.restarts == 200
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(DomainError):
-            OptimizerConfig(engine="newton")
 
     @pytest.mark.parametrize("field", ["restarts", "max_iters"])
     def test_counts_must_be_positive(self, field):
@@ -233,22 +228,6 @@ class TestMaximizeR:
         res = maximize_r(VERTEX_COUNTS, FAST)
         assert res.r == 1.0
         assert not res.is_nonlocal
-
-    @pytest.mark.parametrize("engine", ["nelder_mead", "differential_evolution"])
-    def test_direct_search_engines_satisfy_the_same_contract(self, engine):
-        cfg = OptimizerConfig(engine=engine, restarts=2, seed=123, max_iters=40)
-        res = maximize_r(TILTED_COUNTS, cfg)
-        assert len(res.engine_trace) == 2
-        np.testing.assert_allclose(
-            res.r, r_value(res.q, res.delta_q, res.c, DM), rtol=0, atol=1e-12
-        )
-        assert res.is_nonlocal == (res.r > 1.0)
-
-    def test_annealing_engine_smoke(self):
-        cfg = OptimizerConfig(engine="simulated_annealing", restarts=1, seed=123, max_iters=30)
-        res = maximize_r(TILTED_COUNTS, cfg)
-        assert len(res.engine_trace) == 1
-        assert res.is_nonlocal == (res.r > 1.0)
 
     def test_all_penalized_restarts_raise(self, monkeypatch):
         monkeypatch.setattr(
