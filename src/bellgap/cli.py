@@ -6,7 +6,7 @@ Subcommands:
     bound       LHV bound and maximizer count of a functional file
     evaluate    Q, its Poisson error, and the SDN of a functional on counts
     project     closest no-signaling behavior to the count frequencies
-    optimize    search for the functional maximizing the adjusted ratio R
+    optimize    find the functional maximizing the adjusted ratio R (exact on 2x2)
     efficiency  critical detection efficiencies of a functional on data
     report      batch CSV series (SDN and efficiency vs concurrence)
 
@@ -109,11 +109,18 @@ def _config_payload(cfg: OptimizerConfig) -> dict:
 
 
 def _add_optimizer_flags(parser) -> None:
-    parser.add_argument("--restarts", type=int, default=None, help="independent restarts")
-    parser.add_argument("--max-iters", type=int, default=None, help="iterations per restart")
-    parser.add_argument("--step-init", type=float, default=None, help="initial ascent step")
     parser.add_argument(
-        "--convergence-tol", type=float, default=None, help="per-restart gain tolerance"
+        "--restarts", type=int, default=None, help="independent restarts (ignored on 2x2)"
+    )
+    parser.add_argument(
+        "--max-iters", type=int, default=None, help="iterations per restart (ignored on 2x2)"
+    )
+    parser.add_argument(
+        "--step-init", type=float, default=None, help="initial ascent step (ignored on 2x2)"
+    )
+    parser.add_argument(
+        "--convergence-tol", type=float, default=None,
+        help="per-restart gain tolerance (ignored on 2x2)",
     )
     parser.add_argument(
         "--denom-floor", type=float, default=None, help="penalized denominator floor"

@@ -8,16 +8,26 @@ where Q is the functional's value on the measured frequencies, dQ its
 propagated Poisson error, C its LHV bound, and the d*m shift keeps the
 denominator away from zero.  Data admits no local model exactly when some
 functional reaches R > 1.  The search runs over joint-only coefficients in
-the box [-1, 1]^((dm)^2) with independent random restarts.
+the box [-1, 1]^((dm)^2), by one of two paths:
 
-When m > d the box holds points with C + dm <= 0, since a strategy can
-score as low as -m^2 < -dm.  Near that boundary C + dm -> 0+ while the
-numerator can stay positive, so R is unbounded above: on chained-Bell 3x2
-counts (concurrence 0.582, N = 1e5 per setting, sampling seed 77),
-s = -1 + 0.3003 g, with g the chained functional shifted to be nonnegative
-per block, has C + dm = 0.003 and R = 11.2.  The restart search does not
-reach this region and reports R = 1.021 there; nothing here handles the
-pole, so an exact maximizer of R must exclude it first.
+* 2x2 counts are solved exactly.  R is a concave numerator over a positive
+  convex denominator, so Dinkelbach's method (Dinkelbach 1967; Schaible
+  1976) reaches max R through a few convex subproblems, and weak duality
+  gives a certified upper bound on it.
+* Every other scenario keeps the annealed gradient search from independent
+  random restarts, which samples max R rather than solving it.
+
+The split has two reasons.  When m > d the box holds points with
+C + dm <= 0, since a strategy can score as low as -m^2 < -dm.  Near that
+boundary C + dm -> 0+ while the numerator can stay positive, so R is
+unbounded above: on chained-Bell 3x2 counts (concurrence 0.582, N = 1e5 per
+setting, sampling seed 77), s = -1 + 0.3003 g, with g the chained
+functional shifted to be nonnegative per block, has C + dm = 0.003 and
+R = 11.2.  The restart search does not reach this region and reports
+R = 1.021 there; an exact maximizer would chase the pole.  And on local
+3x3 counts the exact optimum clears the SIGNIFICANCE_SDN gate (R = 1.0048
+at SDN 3.65) where the restart search stays below R = 1, so the gate must
+be calibrated for larger scenarios before they are solved exactly.
 """
 
 from __future__ import annotations
@@ -26,10 +36,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog, minimize
 
 from .core import BellFunctional, absorb_marginals, rescale
 from .errors import DegenerateObjectiveError, DomainError
-from .lhv import lhv_bound, make_joint_bound_oracle
+from .lhv import DEFAULT_ENUMERATION_CAP, _route, lhv_bound, make_joint_bound_oracle
 from .stats import CountTable, error_propagation, propagate
 
 # Sentinel returned when the shifted denominator C + dm falls below the
@@ -58,10 +69,20 @@ _TAU_INIT = 0.5
 _TAU_DECAY = 0.25
 _TAU_FLOOR = 1e-10
 
+# Dinkelbach stops once F(t) <= _DINKELBACH_TOL * max(1, t); it converges
+# superlinearly, so the iteration cap is only a guard.
+_DINKELBACH_TOL = 1e-12
+_DINKELBACH_MAX_ITERS = 50
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search-budget knobs for maximize_r."""
+    """Search-budget knobs for maximize_r.
+
+    restarts, seed, max_iters, step_init and convergence_tol steer the
+    restart search only; the exact 2x2 path ignores them.  denom_floor
+    applies to both.
+    """
 
     restarts: int = 200
     seed: int = 0
@@ -81,7 +102,13 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
-    """Best functional found, with its score components and restart trace."""
+    """Best functional found, with its score components and search trace.
+
+    engine_trace holds the final R of every restart, or on the exact 2x2
+    path one entry, the maximal R (both before the significance gate).
+    r_upper is an upper bound on max R over the box: the duality
+    certificate on the exact path, math.inf on the restart path.
+    """
 
     functional: BellFunctional
     r: float
@@ -91,6 +118,7 @@ class OptimizationResult:
     sdn: float
     is_nonlocal: bool
     engine_trace: tuple[float, ...]
+    r_upper: float
 
 
 def sdn(q: float, delta_q: float, c: float) -> float:
@@ -257,31 +285,120 @@ def _run_gradient(model, bound_oracle, dm, cfg, s0):
     return s, r
 
 
-def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
-    """Best R over independent random restarts in the coefficient box.
+def _dinkelbach(model, tables, dm, cfg):
+    """Exact max of R by Dinkelbach's method; returns (s, R(s), r_upper).
 
-    Restart i draws its start from a generator seeded by (seed, i), so runs
-    are reproducible and a restart prefix is deterministic regardless of
-    the total count.  A zero functional (R = 1 exactly) backstops the
-    search: a candidate displaces it only when its gap q - c exceeds
-    SIGNIFICANCE_SDN error units, which filters the fluke violations that
-    finite-count noise produces on perfectly local data.  Among significant
-    candidates the largest r wins, ties keeping the earliest restart.
+    The r_upper certificate holds for m = d only.  With N = q - dQ + dm
+    and D = C + dm, F(t) = max_s N(s) - t D(s) is
+    zero exactly at t = max R, so t <- R(argmax) climbs to it.  Each F(t)
+    is the convex program max q(s) - dQ(s) - t z + dm (1 - t) over
+    s in the box and z >= T_k s for every strategy row T_k.  The search
+    starts at t = 1, the zero functional's R, and from the block-centered
+    frequencies, away from s = 0 where dQ has no gradient.
+    """
+    n = tables.shape[1]
+    # x = (s, z); each row of lhs @ x is z - T_k s >= 0.
+    lhs = np.hstack([-tables, np.ones((tables.shape[0], 1))])
+    constraint = {"type": "ineq", "fun": lambda x: lhs @ x, "jac": lambda x: lhs}
+    bounds = [(-1.0, 1.0)] * n + [(None, None)]
+
+    def neg_sub(x, t):
+        q, dq, grad_q, grad_dq = model.q_dq_grads(x[:n])
+        return -(q - dq - t * x[n]), np.append(grad_dq - grad_q, t)
+
+    centered = model.freq - model.freq.mean(axis=(2, 3), keepdims=True)
+    peak = np.abs(centered).max()
+    s = (centered / peak).ravel() if peak > 0 else np.full(n, 0.5)
+    best_s, t = np.zeros(n), 1.0
+    for _ in range(_DINKELBACH_MAX_ITERS):
+        x0 = np.append(s, (tables @ s).max())
+        sol = minimize(neg_sub, x0, args=(t,), jac=True, method="SLSQP", bounds=bounds,
+                       constraints=constraint, options={"maxiter": 500, "ftol": 1e-16})
+        s = np.clip(sol.x[:n], -1.0, 1.0)
+        q, dq = model.q_dq(s)
+        c = float((tables @ s).max())
+        if q - dq + dm - t * (c + dm) <= _DINKELBACH_TOL * max(1.0, t):
+            break
+        r = r_value(q, dq, c, dm, cfg.denom_floor)
+        if not r > t:
+            break
+        best_s, t = s, r
+    # For m = d, N and D are positively homogeneous in u = s + 1, so R is
+    # constant along rays from the all -1 corner.  Scaled until its largest
+    # entry is 2, a ray's u has C + dm = max_k T_k u >= 2, since some row
+    # T_k covers that entry and u >= 0.  There N - t D <= F_bar, so every
+    # R <= t + F_bar / 2.
+    return best_s, t, t + max(_dual_bound(model, tables, dm, s, t), 0.0) / 2.0
+
+
+def _dual_bound(model, tables, dm, s, t):
+    """Weak-duality bound F_bar(t) >= F(t) from the supergradient of q - dQ at s.
+
+    q - dQ is concave and positively homogeneous, so q(u) - dQ(u) <= v.u
+    with v its gradient at s; max_k T_k u >= lambda.T u for lambda in the
+    simplex.  Hence F(t) <= |v - t T^T lambda|_1 + dm (1 - t), minimized
+    over lambda by one LP and re-evaluated exactly at the (clipped,
+    renormalized) LP solution, so LP tolerances cannot undercut it.
+    """
+    _, _, grad_q, grad_dq = model.q_dq_grads(s)
+    v = grad_q - grad_dq
+    k, n = tables.shape
+    tt = t * tables.T
+    eye = np.eye(n)
+    lp = linprog(
+        np.r_[np.zeros(k), np.ones(n)],
+        A_ub=np.block([[-tt, -eye], [tt, -eye]]),
+        b_ub=np.r_[-v, v],
+        A_eq=np.r_[np.ones(k), np.zeros(n)][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * k + [(None, None)] * n,
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    lam = np.clip(lp.x[:k], 0.0, None)
+    lam /= lam.sum()
+    return float(np.abs(v - tt @ lam).sum()) + dm * (1.0 - t)
+
+
+def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
+    """Best R in the coefficient box: exact on 2x2, restarts elsewhere.
+
+    On 2x2 counts the single candidate is the exact maximizer and the
+    result does not depend on cfg.seed.  Elsewhere restart i draws its
+    start from a generator seeded by (seed, i), so runs are reproducible
+    and a restart prefix is deterministic regardless of the total count.
+    A zero functional (R = 1 exactly) backstops both paths: a candidate
+    displaces it only when its gap q - c exceeds SIGNIFICANCE_SDN error
+    units, which filters the fluke violations that finite-count noise
+    produces on perfectly local data.  Among significant candidates the
+    largest r wins, ties keeping the earliest restart.
     """
     sc = counts.scenario
     dm = sc.d * sc.m
     model = _CountModel(counts)
     bound_oracle = make_joint_bound_oracle(sc)
     n = (sc.d * sc.m) ** 2
-    seed = cfg.seed % 2**63
+
+    # Exact only on 2x2 (module docstring): m > d has the pole at
+    # C + dm -> 0+, and on local 3x3 counts the exact optimum passes the
+    # uncalibrated SIGNIFICANCE_SDN gate (R = 1.0048, SDN 3.65).
+    if (sc.m, sc.d) == (2, 2):
+        tables = _route(sc, DEFAULT_ENUMERATION_CAP).tables_j
+        s_x, r_x, r_upper = _dinkelbach(model, tables, dm, cfg)
+        runs = [(s_x, r_x)]
+    else:
+        seed = cfg.seed % 2**63
+        runs = (
+            _run_gradient(
+                model, bound_oracle, dm, cfg, np.random.default_rng([seed, i]).uniform(-1.0, 1.0, n)
+            )
+            for i in range(cfg.restarts)
+        )
+        r_upper = math.inf
 
     best_s = None
     best_r = -math.inf
     trace = []
-    for i in range(cfg.restarts):
-        rng = np.random.default_rng([seed, i])
-        s0 = rng.uniform(-1.0, 1.0, n)
-        s_i, r_i = _run_gradient(model, bound_oracle, dm, cfg, s0)
+    for s_i, r_i in runs:
         trace.append(float(r_i))
         if r_i <= PENALTY_R:
             continue
@@ -313,4 +430,7 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
         sdn=_sdn_signal(rep.q, rep.delta_q, c),
         is_nonlocal=r > 1.0,
         engine_trace=tuple(trace),
+        # r is attained in the box, so the max only absorbs rounding
+        # between the solver's and the final evaluation of R.
+        r_upper=max(r_upper, r),
     )

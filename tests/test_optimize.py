@@ -1,4 +1,4 @@
-"""Tests for the violation-ratio objective and its restart-based maximizers."""
+"""Tests for the violation-ratio objective and its maximizers (exact on 2x2, restarts elsewhere)."""
 
 import math
 
@@ -7,11 +7,13 @@ import pytest
 
 from bellgap import (
     BellFunctional,
+    CountTable,
     DegenerateObjectiveError,
     DomainError,
     OptimizerConfig,
     Scenario,
     absorb_into_box,
+    alpha_for_concurrence,
     error_propagation,
     evaluate,
     lhv_bound,
@@ -43,6 +45,20 @@ VERTEX_COUNTS = poisson_sample(
 )
 
 FAST = OptimizerConfig(restarts=6, seed=123)
+
+# The five acceptance datasets (tilted counts, sampling seed 77).
+ACCEPTANCE_COUNTS = {
+    conc: poisson_sample(tilted_behavior(alpha_for_concurrence(conc)), 100_000, seed=77)
+    for conc in (0.193, 0.375, 0.582, 0.835, 0.986)
+}
+NONLOCAL_2X2 = {"tilted": TILTED_COUNTS} | {f"c{c}": t for c, t in ACCEPTANCE_COUNTS.items()}
+ALL_2X2 = NONLOCAL_2X2 | {"uniform": UNIFORM_COUNTS, "vertex": VERTEX_COUNTS}
+
+# maximize_r keeps the restart search outside 2x2, so restart semantics
+# are pinned on a 3x2 table.
+MULTI_COUNTS = poisson_sample(
+    random_ns_behavior(Scenario(3, 2), np.random.default_rng(31)), 10_000, seed=8
+)
 
 
 class TestOptimizerConfig:
@@ -200,13 +216,13 @@ class TestMaximizeR:
         assert a.engine_trace == b.engine_trace
 
     def test_restart_prefix_is_stable(self):
-        short = maximize_r(TILTED_COUNTS, OptimizerConfig(restarts=3, seed=123))
-        long = maximize_r(TILTED_COUNTS, OptimizerConfig(restarts=6, seed=123))
+        short = maximize_r(MULTI_COUNTS, OptimizerConfig(restarts=3, seed=123))
+        long = maximize_r(MULTI_COUNTS, OptimizerConfig(restarts=6, seed=123))
         assert long.engine_trace[:3] == short.engine_trace
         assert len(long.engine_trace) == 6
 
     def test_negative_seed_is_accepted(self):
-        res = maximize_r(TILTED_COUNTS, OptimizerConfig(restarts=2, seed=-7))
+        res = maximize_r(MULTI_COUNTS, OptimizerConfig(restarts=2, seed=-7))
         assert len(res.engine_trace) == 2
 
     def test_uniform_data_falls_back_to_the_zero_functional(self):
@@ -231,10 +247,10 @@ class TestMaximizeR:
 
     def test_all_penalized_restarts_raise(self, monkeypatch):
         monkeypatch.setattr(
-            optimize_module, "_run_gradient", lambda *a: (np.zeros(16), PENALTY_R)
+            optimize_module, "_run_gradient", lambda *a: (np.zeros(36), PENALTY_R)
         )
         with pytest.raises(DegenerateObjectiveError):
-            maximize_r(TILTED_COUNTS, OptimizerConfig(restarts=3, seed=0))
+            maximize_r(MULTI_COUNTS, OptimizerConfig(restarts=3, seed=0))
 
 
 class TestGradientEngineInternals:
@@ -255,3 +271,85 @@ class TestGradientEngineInternals:
         s, r = optimize_module._run_gradient(model, oracle, DM, cfg, rng.uniform(-1, 1, 16))
         assert np.abs(s).max() <= 1.0
         assert r > PENALTY_R
+
+
+class TestExactPath:
+    """maximize_r on 2x2 counts: Dinkelbach's method with a duality certificate."""
+
+    @pytest.mark.parametrize("name", ALL_2X2)
+    def test_certificate_bounds_the_result(self, name):
+        res = maximize_r(ALL_2X2[name], FAST)
+        assert res.r_upper >= res.r
+        assert len(res.engine_trace) == 1
+
+    @pytest.mark.parametrize("name", NONLOCAL_2X2)
+    def test_certificate_is_tight_on_nonlocal_data(self, name):
+        res = maximize_r(NONLOCAL_2X2[name], FAST)
+        assert res.is_nonlocal
+        assert res.r_upper - res.r <= 1e-9
+
+    def test_weakest_acceptance_state_reaches_the_optimum(self):
+        # The 200-restart search stopped at R = 1.002612 (SDN 14.3) here.
+        res = maximize_r(ACCEPTANCE_COUNTS[0.193], FAST)
+        np.testing.assert_allclose(res.r, 1.004680, rtol=0, atol=1e-6)
+        assert res.sdn > 17.0
+
+    def test_dominates_seeded_gradient_runs(self):
+        counts = ACCEPTANCE_COUNTS[0.193]
+        model = _CountModel(counts)
+        oracle = make_joint_bound_oracle(CHSH)
+        cfg = OptimizerConfig()
+        best = max(
+            optimize_module._run_gradient(
+                model, oracle, DM, cfg, np.random.default_rng([5, i]).uniform(-1.0, 1.0, 16)
+            )[1]
+            for i in range(20)
+        )
+        assert maximize_r(counts, FAST).r >= best
+
+    def test_seed_does_not_change_the_result(self):
+        runs = [maximize_r(TILTED_COUNTS, OptimizerConfig(seed=seed)) for seed in (0, 1, -7)]
+        for res in runs[1:]:
+            np.testing.assert_array_equal(res.functional.joint, runs[0].functional.joint)
+            assert (res.r, res.r_upper, res.engine_trace) == (
+                runs[0].r, runs[0].r_upper, runs[0].engine_trace
+            )
+
+    def test_flat_counts_certify_the_baseline(self):
+        # No contrast in the frequencies: the solver starts off the zero
+        # functional and proves max R = 1.
+        res = maximize_r(CountTable(CHSH, np.full(CHSH.joint_shape, 25_000)), FAST)
+        assert res.r == 1.0 and not res.is_nonlocal
+        np.testing.assert_allclose(res.r_upper, 1.0, rtol=0, atol=1e-9)
+
+    def test_restart_path_has_no_certificate(self):
+        res = maximize_r(MULTI_COUNTS, OptimizerConfig(restarts=2, seed=1))
+        assert res.r_upper == math.inf
+
+
+def _swap_parties(c):
+    return c.transpose(1, 0, 3, 2)
+
+
+def _swap_alice_settings(c):
+    return c[::-1]
+
+
+def _flip_alice_setting_0(c):
+    c = c.copy()
+    c[0] = c[0, :, ::-1]
+    return c
+
+
+class TestRelabelingInvariance:
+    @pytest.mark.parametrize("relabel", [_swap_parties, _swap_alice_settings, _flip_alice_setting_0])
+    @pytest.mark.parametrize("name", ["tilted", "c0.193", "uniform"])
+    def test_r_and_verdict_are_invariant(self, name, relabel):
+        counts = ALL_2X2[name]
+        base = maximize_r(counts, FAST)
+        moved = maximize_r(CountTable(CHSH, relabel(counts.c)), FAST)
+        np.testing.assert_allclose(moved.r, base.r, rtol=0, atol=1e-9)
+        assert moved.is_nonlocal == base.is_nonlocal
+        # On local data r is the baseline 1 either way; the optimum before
+        # the significance gate must not move either.
+        np.testing.assert_allclose(moved.engine_trace, base.engine_trace, rtol=0, atol=1e-9)
