@@ -21,7 +21,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, io
@@ -35,54 +35,6 @@ from .stats import error_propagation, frequencies, kl_divergence, ns_project, po
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything one optimization run reports, ready for serialization.
-
-    Each functional block carries (q, delta_q, c, sdn, r, nonlocal); the
-    construction re-checks that r equals (q - delta_q + dm)/(c + dm)
-    within 1e-9 so a report can never ship an inconsistent triple.
-    """
-
-    input_digest: str
-    m: int
-    d: int
-    functionals: tuple[dict, ...]
-    optimizer_config: dict
-    efficiencies: tuple[dict, ...]
-    deviations: tuple[str, ...]
-    artifact_version: str = __version__
-
-    def __post_init__(self):
-        dm = float(self.d * self.m)
-        for block in self.functionals:
-            want = r_value(block["q"], block["delta_q"], block["c"], dm)
-            if abs(block["r"] - want) > 1e-9 * max(1.0, abs(want)):
-                raise DomainError(
-                    f"functional block {block['name']!r}: r {block['r']!r} "
-                    f"inconsistent with its (q, delta_q, c)"
-                )
-            if block["nonlocal"] != (block["r"] > 1.0):
-                raise DomainError(
-                    f"functional block {block['name']!r}: nonlocal flag "
-                    f"inconsistent with r {block['r']!r}"
-                )
-
-    def payload(self) -> dict:
-        return {
-            "format_version": io.FORMAT_VERSION,
-            "kind": "report",
-            "artifact_version": self.artifact_version,
-            "input_digest": self.input_digest,
-            "m": self.m,
-            "d": self.d,
-            "functionals": list(self.functionals),
-            "optimizer_config": self.optimizer_config,
-            "efficiencies": list(self.efficiencies),
-            "deviations": list(self.deviations),
-        }
 
 
 def _efficiency_blocks(name: str, f, behavior) -> list[dict]:
@@ -104,48 +56,58 @@ def _efficiency_blocks(name: str, f, behavior) -> list[dict]:
     return blocks
 
 
-def _config_payload(cfg: OptimizerConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in dataclass_fields(OptimizerConfig)}
+def _report_payload(counts_path, counts, result, cfg: OptimizerConfig) -> dict:
+    """The optimize report of one run, ready for serialization.
+
+    The functional block carries (q, delta_q, c, sdn, r, nonlocal); r is
+    re-checked against (q - delta_q + dm)/(c + dm) within 1e-9, and the
+    nonlocal flag against r, so a report can never ship an inconsistent
+    block.
+    """
+    sc = counts.scenario
+    want = r_value(result.q, result.delta_q, result.c, sc.d * sc.m)
+    if abs(result.r - want) > 1e-9 * max(1.0, abs(want)):
+        raise DomainError(
+            f"optimized functional: r {result.r!r} inconsistent with its (q, delta_q, c)"
+        )
+    if result.is_nonlocal != (result.r > 1.0):
+        raise DomainError(f"optimized functional: nonlocal flag inconsistent with r {result.r!r}")
+    block = {
+        "name": "optimized",
+        "q": result.q,
+        "delta_q": result.delta_q,
+        "c": result.c,
+        "sdn": result.sdn if math.isfinite(result.sdn) else repr(result.sdn),
+        "r": result.r,
+        "nonlocal": result.is_nonlocal,
+    }
+    return {
+        "format_version": io.FORMAT_VERSION,
+        "kind": "report",
+        "artifact_version": __version__,
+        "input_digest": io.file_digest(counts_path),
+        "m": sc.m,
+        "d": sc.d,
+        "functionals": [block],
+        "optimizer_config": asdict(cfg),
+        "efficiencies": _efficiency_blocks("optimized", result.functional, frequencies(counts)),
+        "deviations": [],
+    }
 
 
 def _add_optimizer_flags(parser) -> None:
+    parser.add_argument("--seed", type=int, required=True, help="restart seed (ignored on 2x2)")
     parser.add_argument(
-        "--restarts", type=int, default=None, help="independent restarts (ignored on 2x2)"
-    )
-    parser.add_argument(
-        "--max-iters", type=int, default=None, help="iterations per restart (ignored on 2x2)"
-    )
-    parser.add_argument(
-        "--step-init", type=float, default=None, help="initial ascent step (ignored on 2x2)"
-    )
-    parser.add_argument(
-        "--convergence-tol", type=float, default=None,
-        help="per-restart gain tolerance (ignored on 2x2)",
-    )
-    parser.add_argument(
-        "--denom-floor", type=float, default=None, help="penalized denominator floor"
-    )
-    parser.add_argument(
-        "--config", default=None, help="JSON file of optimizer fields; flags win over it"
+        "--restarts", type=int, default=OptimizerConfig.restarts,
+        help="independent restarts (ignored on 2x2)",
     )
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    allowed = {f.name for f in dataclass_fields(OptimizerConfig)}
-    merged = {}
-    if args.config:
-        payload = io.read_json(args.config)
-        unknown = set(payload) - allowed
-        if unknown:
-            raise SchemaError(f"{args.config}: unknown optimizer fields {sorted(unknown)}")
-        merged.update(payload)
-    # Every field but the seed has its own flag; the seed is always given.
-    for flag in allowed - {"seed"}:
-        value = getattr(args, flag)
-        if value is not None:
-            merged[flag] = value
-    merged["seed"] = args.seed
-    return OptimizerConfig(**merged)
+def _meta_number(path, meta: dict, key: str) -> float:
+    value = meta.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: simulation metadata {key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def cmd_simulate(args) -> None:
@@ -198,7 +160,7 @@ def cmd_project(args) -> None:
 
 def cmd_optimize(args) -> None:
     counts, _ = io.read_counts(args.counts)
-    cfg = _optimizer_config(args)
+    cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     result = maximize_r(counts, cfg)
 
     functional_out = args.functional_out
@@ -207,27 +169,7 @@ def cmd_optimize(args) -> None:
         functional_out = out.with_name(out.stem + "_functional" + out.suffix)
     io.write_functional(functional_out, result.functional)
 
-    block = {
-        "name": "optimized",
-        "q": result.q,
-        "delta_q": result.delta_q,
-        "c": result.c,
-        "sdn": result.sdn if math.isfinite(result.sdn) else repr(result.sdn),
-        "r": result.r,
-        "nonlocal": result.is_nonlocal,
-    }
-    report = AnalysisReport(
-        input_digest=io.file_digest(args.counts),
-        m=counts.scenario.m,
-        d=counts.scenario.d,
-        functionals=(block,),
-        optimizer_config=_config_payload(cfg),
-        efficiencies=tuple(
-            _efficiency_blocks("optimized", result.functional, frequencies(counts))
-        ),
-        deviations=(),
-    )
-    io.write_json(args.out, report.payload())
+    io.write_json(args.out, _report_payload(args.counts, counts, result, cfg))
     print(f"R = {_fmt(result.r)}")
     print(f"nonlocal = {str(result.is_nonlocal).lower()}")
     print(f"wrote report -> {args.out}")
@@ -242,21 +184,22 @@ def cmd_efficiency(args) -> None:
         behavior = frequencies(counts)
     else:
         behavior = io.behavior_from_payload(payload)
-    result = critical_efficiency(canonicalize(f, args.normalize), behavior, args.mode)
+    result = critical_efficiency(canonicalize(f), behavior, args.mode)
     print(f"mode = {result.mode}")
     print(f"eta_a = {_fmt(result.eta_a)}")
     print(f"eta_b = {_fmt(result.eta_b)}")
 
 
 def cmd_report(args) -> None:
-    cfg = _optimizer_config(args)
+    cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     rows = []
     for path in args.counts:
         counts, meta = io.read_counts(path)
-        if "alpha" not in meta:
-            raise SchemaError(f"{path}: counts file lacks simulation metadata 'alpha'")
-        alpha = float(meta["alpha"])
-        conc = float(meta.get("concurrence", concurrence(tilted_realization(alpha).theta)))
+        alpha = _meta_number(path, meta, "alpha")
+        if "concurrence" in meta:
+            conc = _meta_number(path, meta, "concurrence")
+        else:
+            conc = float(concurrence(tilted_realization(alpha).theta))
 
         tilted = tilted_functional(alpha)
         rep = error_propagation(tilted, counts)
@@ -331,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="search for the functional maximizing R")
     p.add_argument("counts", help="counts JSON path")
-    p.add_argument("--seed", type=int, required=True, help="restart seed")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument(
         "--functional-out", default=None, help="functional JSON path (default: <out>_functional)"
@@ -343,12 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("functional", help="functional JSON path")
     p.add_argument("data", help="counts or behavior JSON path")
     p.add_argument("--mode", choices=EFFICIENCY_MODES, default="symmetric")
-    p.add_argument("--normalize", type=float, default=1.0, help="canonical scale divisor")
     p.set_defaults(func=cmd_efficiency)
 
     p = sub.add_parser("report", help="CSV series over simulated counts files")
     p.add_argument("counts", nargs="+", help="counts JSON paths with simulation metadata")
-    p.add_argument("--seed", type=int, required=True, help="restart seed")
     p.add_argument("--out-dir", required=True, help="directory for the CSV files")
     p.add_argument("--mode", choices=EFFICIENCY_MODES, default="symmetric")
     p.add_argument(

@@ -33,6 +33,7 @@ be calibrated for larger scenarios before they are solved exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,10 @@ from .errors import DegenerateObjectiveError, DomainError
 from .lhv import DEFAULT_ENUMERATION_CAP, _route, lhv_bound, make_joint_bound_oracle
 from .stats import CountTable, error_propagation, propagate
 
-# Sentinel returned when the shifted denominator C + dm falls below the
-# floor; finite, so restart traces hold only finite numbers.
+# Sentinel returned when the shifted denominator C + dm falls below
+# _DENOM_FLOOR; finite, so restart traces hold only finite numbers.
 PENALTY_R = -1.0e6
+_DENOM_FLOOR = 1e-6
 
 # Subgradient of dQ is taken as zero below this; dQ is nondifferentiable
 # at zero and the set is measure-zero anyway.
@@ -64,6 +66,12 @@ _BASELINE_MARGIN = 1e-12
 # call a certification successful downstream.
 SIGNIFICANCE_SDN = 3.0
 
+# Budget of one restart of the gradient search: ascent iterations, first
+# step length and the per-step gain below which an ascent stops.
+_MAX_ITERS = 5000
+_STEP_INIT = 0.05
+_CONVERGENCE_TOL = 1e-9
+
 # Annealing schedule for the smoothed LHV bound in the gradient engine.
 _TAU_INIT = 0.5
 _TAU_DECAY = 0.25
@@ -77,27 +85,21 @@ _DINKELBACH_MAX_ITERS = 50
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search-budget knobs for maximize_r.
+    """Budget of the restart search: how many restarts, and their seed.
 
-    restarts, seed, max_iters, step_init and convergence_tol steer the
-    restart search only; the exact 2x2 path ignores them.  denom_floor
-    applies to both.
+    Both steer the restart search only; the exact 2x2 path ignores them.
     """
 
     restarts: int = 200
     seed: int = 0
-    max_iters: int = 5000
-    step_init: float = 0.05
-    convergence_tol: float = 1e-9
-    denom_floor: float = 1e-6
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters"):
-            if int(getattr(self, name)) < 1:
-                raise DomainError(f"{name} must be a positive integer")
-        for name in ("step_init", "convergence_tol", "denom_floor"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if self.restarts < 1:
+            raise DomainError("restarts must be a positive integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +139,9 @@ def _sdn_signal(q: float, delta_q: float, c: float) -> float:
     return -math.inf if q < c else 0.0
 
 
-def r_value(q: float, delta_q: float, c: float, dm: float, denom_floor: float = 1e-6) -> float:
+def r_value(q: float, delta_q: float, c: float, dm: float) -> float:
     """The ratio (q - delta_q + dm)/(c + dm), or the penalty sentinel."""
-    if c + dm < denom_floor:
+    if c + dm < _DENOM_FLOOR:
         return PENALTY_R
     return (q - delta_q + dm) / (c + dm)
 
@@ -159,7 +161,7 @@ def absorb_into_box(f: BellFunctional) -> tuple[BellFunctional, float]:
     return rescale(g, 1.0 / peak), peak
 
 
-def objective_r(f: BellFunctional, counts: CountTable, *, denom_floor: float = 1e-6) -> float:
+def objective_r(f: BellFunctional, counts: CountTable) -> float:
     """R for a joint-only functional with coefficients in the box."""
     if not f.is_joint_only:
         raise DomainError("objective takes joint-only functionals; see absorb_into_box")
@@ -168,7 +170,7 @@ def objective_r(f: BellFunctional, counts: CountTable, *, denom_floor: float = 1
     rep = error_propagation(f, counts)
     c = lhv_bound(f).bound
     dm = f.scenario.d * f.scenario.m
-    return r_value(rep.q, rep.delta_q, c, dm, denom_floor)
+    return r_value(rep.q, rep.delta_q, c, dm)
 
 
 class _CountModel:
@@ -195,7 +197,7 @@ class _CountModel:
         return float(self.freq_flat @ s_flat), dq, self.freq_flat, grad_dq
 
 
-def _run_gradient(model, bound_oracle, dm, cfg, s0):
+def _run_gradient(model, bound_oracle, dm, s0):
     """Annealed projected gradient ascent on R.
 
     R is quasiconcave (concave numerator over a positive convex
@@ -210,13 +212,13 @@ def _run_gradient(model, bound_oracle, dm, cfg, s0):
     def r_of(s, tau=0.0):
         q, dq = model.q_dq(s)
         c, _ = bound_oracle(s, tau)
-        return r_value(q, dq, c, dm, cfg.denom_floor)
+        return r_value(q, dq, c, dm)
 
     def r_grad(s, tau=0.0):
         q, dq, grad_q, grad_dq = model.q_dq_grads(s)
         c, grad_c = bound_oracle(s, tau)
         den = c + dm
-        if den < cfg.denom_floor:
+        if den < _DENOM_FLOOR:
             return PENALTY_R, None
         num = q - dq + dm
         return num / den, (grad_q - grad_dq) / den - (num / den**2) * grad_c
@@ -224,7 +226,7 @@ def _run_gradient(model, bound_oracle, dm, cfg, s0):
     def ascend(s, tau, max_iters, tol):
         """Backtracking ascent accepting only improving steps."""
         r = r_of(s, tau)
-        step = cfg.step_init
+        step = _STEP_INIT
         for _ in range(max_iters):
             _, grad = r_grad(s, tau)
             if grad is None:
@@ -252,9 +254,9 @@ def _run_gradient(model, bound_oracle, dm, cfg, s0):
 
     tau = _TAU_INIT
     while tau > _TAU_FLOOR:
-        s, _ = ascend(s, tau, min(300, cfg.max_iters), 0.1 * cfg.convergence_tol)
+        s, _ = ascend(s, tau, min(300, _MAX_ITERS), 0.1 * _CONVERGENCE_TOL)
         tau *= _TAU_DECAY
-    s, r = ascend(s, 0.0, cfg.max_iters, 1e-3 * cfg.convergence_tol)
+    s, r = ascend(s, 0.0, _MAX_ITERS, 1e-3 * _CONVERGENCE_TOL)
 
     # Flat ridges often end at box corners; probe full and near-wall sign
     # snaps plus single-coordinate pushes, re-polishing after any gain.
@@ -281,11 +283,11 @@ def _run_gradient(model, bound_oracle, dm, cfg, s0):
                     changed = True
         if not changed:
             break
-        s, r = ascend(s, 0.0, min(500, cfg.max_iters), 1e-3 * cfg.convergence_tol)
+        s, r = ascend(s, 0.0, min(500, _MAX_ITERS), 1e-3 * _CONVERGENCE_TOL)
     return s, r
 
 
-def _dinkelbach(model, tables, dm, cfg):
+def _dinkelbach(model, tables, dm):
     """Exact max of R by Dinkelbach's method; returns (s, R(s), r_upper).
 
     The r_upper certificate holds for m = d only.  With N = q - dQ + dm
@@ -319,7 +321,7 @@ def _dinkelbach(model, tables, dm, cfg):
         c = float((tables @ s).max())
         if q - dq + dm - t * (c + dm) <= _DINKELBACH_TOL * max(1.0, t):
             break
-        r = r_value(q, dq, c, dm, cfg.denom_floor)
+        r = r_value(q, dq, c, dm)
         if not r > t:
             break
         best_s, t = s, r
@@ -383,13 +385,13 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     # uncalibrated SIGNIFICANCE_SDN gate (R = 1.0048, SDN 3.65).
     if (sc.m, sc.d) == (2, 2):
         tables = _route(sc, DEFAULT_ENUMERATION_CAP).tables_j
-        s_x, r_x, r_upper = _dinkelbach(model, tables, dm, cfg)
+        s_x, r_x, r_upper = _dinkelbach(model, tables, dm)
         runs = [(s_x, r_x)]
     else:
         seed = cfg.seed % 2**63
         runs = (
             _run_gradient(
-                model, bound_oracle, dm, cfg, np.random.default_rng([seed, i]).uniform(-1.0, 1.0, n)
+                model, bound_oracle, dm, np.random.default_rng([seed, i]).uniform(-1.0, 1.0, n)
             )
             for i in range(cfg.restarts)
         )
@@ -404,7 +406,7 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
             continue
         q_i, dq_i = model.q_dq(s_i)
         c_i, _ = bound_oracle(s_i)
-        r_i = r_value(q_i, dq_i, c_i, dm, cfg.denom_floor)
+        r_i = r_value(q_i, dq_i, c_i, dm)
         significant = q_i - c_i > SIGNIFICANCE_SDN * dq_i and r_i > 1.0 + _BASELINE_MARGIN
         if significant and r_i > best_r:
             best_r = r_i
@@ -420,7 +422,7 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     functional = BellFunctional(sc, best_s.reshape(sc.joint_shape))
     rep = error_propagation(functional, counts)
     c = lhv_bound(functional).bound
-    r = r_value(rep.q, rep.delta_q, c, dm, cfg.denom_floor)
+    r = r_value(rep.q, rep.delta_q, c, dm)
     return OptimizationResult(
         functional=functional,
         r=r,

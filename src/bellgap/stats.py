@@ -171,9 +171,7 @@ def _ns_constraint_matrix(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows), np.array(targets)
 
 
-def ns_project(
-    f: Behavior, *, objective_tol: float = 1e-10, max_iters: int = 500
-) -> Behavior:
+def ns_project(f: Behavior) -> Behavior:
     """Closest no-signaling behavior to f in kl_divergence(f, .).
 
     The divergence is convex in its second argument over the no-signaling
@@ -210,10 +208,10 @@ def ns_project(
         constraints=[LinearConstraint(a_eq, b_eq, b_eq)],
         bounds=Bounds(0.0, 1.0),
         options={
-            "gtol": objective_tol * 1e-2,
+            "gtol": 1e-12,
             "xtol": 1e-14,
             "barrier_tol": 1e-12,
-            "maxiter": max_iters,
+            "maxiter": 500,
         },
     )
     p_hat = np.clip(res.x.reshape(sc.joint_shape), 0.0, 1.0)

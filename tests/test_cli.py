@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line pipeline, run in-process via main()."""
 
-import json
 from dataclasses import fields
 
 import numpy as np
@@ -147,8 +146,7 @@ class TestOptimize:
         assert block["name"] == "optimized"
         assert block["nonlocal"] is True
         assert block["sdn"] > 3.0
-        assert payload["optimizer_config"]["restarts"] == 2
-        assert payload["optimizer_config"]["seed"] == 123
+        assert payload["optimizer_config"] == {"restarts": 2, "seed": 123}
         assert {b["mode"] for b in payload["efficiencies"]} == {
             "asymmetric_b_perfect", "symmetric"
         }
@@ -174,32 +172,34 @@ class TestOptimize:
         assert fpath.exists()
         assert not (tmp_path / "r_functional.json").exists()
 
-    def test_config_file_with_flag_override(self, data_dir, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"restarts": 7, "max_iters": 50}))
-        out = tmp_path / "r.json"
-        assert self.run(data_dir, out, ["--config", str(cfg_path)]) == 0
-        payload = io.read_json(out)
-        # The --restarts flag wins; the file still supplies max_iters.
-        assert payload["optimizer_config"]["restarts"] == 2
-        assert payload["optimizer_config"]["max_iters"] == 50
-
-    def test_unknown_config_field_rejected(self, data_dir, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        out = tmp_path / "r.json"
-        # "engine" was a field until the search engines were reduced to one.
-        for field, value in (("walkers", 5), ("engine", "gradient")):
-            cfg_path.write_text(json.dumps({field: value}))
-            assert self.run(data_dir, out, ["--config", str(cfg_path)]) == 2
-            assert field in capsys.readouterr().err
-
     @pytest.mark.parametrize("command, out_flag", [("optimize", "--out"), ("report", "--out-dir")])
     def test_every_config_field_but_the_seed_has_a_flag(self, command, out_flag):
+        # Two ways: every config field has a flag (the seed's is the
+        # required --seed), and every other parsed value is one of the
+        # command's own inputs, so no optimizer flag is parsed and ignored.
         args = build_parser().parse_args([command, "c.json", "--seed", "1", out_flag, "o"])
-        for field in fields(OptimizerConfig):
-            assert hasattr(args, field.name), field.name
-            if field.name != "seed":
-                assert getattr(args, field.name) is None, field.name
+        own = {"command", "func", "counts", "out", "out_dir", "functional_out", "mode", "projected"}
+        assert set(vars(args)) - own == {field.name for field in fields(OptimizerConfig)}
+        assert args.restarts == OptimizerConfig().restarts
+
+    @pytest.mark.parametrize("command, extra", [
+        ("optimize", ["--denom-floor", "5"]),
+        ("optimize", ["--max-iters", "50"]),
+        ("optimize", ["--config", "f.json"]),
+        ("efficiency", ["--normalize", "4"]),
+    ])
+    def test_removed_flags_are_unknown(self, data_dir, tmp_path, capsys, command, extra):
+        if command == "optimize":
+            argv = ["optimize", str(data_dir / "tilted_counts.json"), "--seed", "1",
+                    "--out", str(tmp_path / "r.json")]
+        else:
+            argv = ["efficiency", str(data_dir / "chsh_functional.json"),
+                    str(data_dir / "chsh_behavior.json")]
+        with pytest.raises(SystemExit) as info:
+            main(argv + extra)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_local_data_reports_the_baseline(self, data_dir, tmp_path, capsys):
         out = tmp_path / "u.json"
@@ -227,14 +227,6 @@ class TestEfficiency:
         assert mode == "mode = asymmetric_b_perfect"
         np.testing.assert_allclose(value_of(a_line), 1.0 / SQRT2, atol=0.01)
         assert value_of(b_line) == 1.0
-
-    def test_normalize_leaves_thresholds_unchanged(self, data_dir, capsys):
-        args = ["efficiency", str(data_dir / "chsh_functional.json"),
-                str(data_dir / "chsh_behavior.json")]
-        assert main(args) == 0
-        plain = capsys.readouterr().out
-        assert main(args + ["--normalize", "4.0"]) == 0
-        assert capsys.readouterr().out == plain
 
     def test_no_violation_is_a_numerical_failure(self, data_dir, capsys):
         assert main(["efficiency", str(data_dir / "chsh_functional.json"),
@@ -280,6 +272,20 @@ class TestReport:
                      "--restarts", "2", "--out-dir", str(tmp_path / "x")])
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "abc"), ("alpha", [1]), ("alpha", True), ("concurrence", "abc"),
+        ("concurrence", {"c": 1}),
+    ])
+    def test_non_numeric_metadata_rejected(self, data_dir, tmp_path, capsys, key, value):
+        counts, meta = io.read_counts(data_dir / "tilted_counts.json")
+        path = tmp_path / "bad_meta.json"
+        io.write_counts(path, counts, meta | {key: value})
+        code = main(["report", str(path), "--seed", "1", "--restarts", "2",
+                     "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "must be a number" in err
 
 
 class TestTopLevel:
