@@ -37,23 +37,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _efficiency_blocks(name: str, f, behavior) -> list[dict]:
-    """Critical efficiencies of f on the behavior, one block per mode.
+def _efficiency(f, behavior, mode: str) -> dict:
+    """{eta_a, eta_b} of f on the behavior, or {error} when there is none.
 
     Failures (wrong outcome count, no violation, no admissible root) are
-    recorded in the block instead of aborting the report.
+    returned instead of raised, so one functional cannot abort a report.
     """
-    blocks = []
-    for mode in EFFICIENCY_MODES:
-        block = {"functional": name, "mode": mode}
-        try:
-            res = critical_efficiency(canonicalize(f), behavior, mode)
-            block["eta_a"] = res.eta_a
-            block["eta_b"] = res.eta_b
-        except (ValidationError, NumericalError) as exc:
-            block["error"] = str(exc)
-        blocks.append(block)
-    return blocks
+    try:
+        res = critical_efficiency(canonicalize(f), behavior, mode)
+    except (ValidationError, NumericalError) as exc:
+        return {"error": str(exc)}
+    return {"eta_a": res.eta_a, "eta_b": res.eta_b}
+
+
+def _efficiency_blocks(name: str, f, behavior) -> list[dict]:
+    """Critical efficiencies of f on the behavior, one block per mode."""
+    return [
+        {"functional": name, "mode": mode, **_efficiency(f, behavior, mode)}
+        for mode in EFFICIENCY_MODES
+    ]
 
 
 def _report_payload(counts_path, counts, result, cfg: OptimizerConfig) -> dict:
@@ -210,13 +212,11 @@ def cmd_report(args) -> None:
         if args.projected:
             behavior = ns_project(behavior)
 
-        etas = {}
-        for name, f in (("tilted", tilted), ("optimized", result.functional)):
-            try:
-                etas[name] = critical_efficiency(canonicalize(f), behavior, args.mode).eta_a
-            except (ValidationError, NumericalError):
-                etas[name] = math.nan
-        rows.append((conc, sdn_tilted, result.sdn, etas["tilted"], etas["optimized"]))
+        etas = [
+            _efficiency(f, behavior, args.mode).get("eta_a", math.nan)
+            for f in (tilted, result.functional)
+        ]
+        rows.append((conc, sdn_tilted, result.sdn, *etas))
         print(
             f"{path}: concurrence = {conc:.4f}, sdn_tilted = {sdn_tilted:.3f}, "
             f"sdn_optimized = {result.sdn:.3f}"
@@ -225,20 +225,17 @@ def cmd_report(args) -> None:
     rows.sort()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sdn_path = out_dir / "sdn_vs_concurrence.csv"
-    eta_path = out_dir / "efficiency_vs_concurrence.csv"
-    with open(sdn_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["concurrence", "sdn_tilted", "sdn_optimized"])
-        for conc, sdn_t, sdn_o, _, _ in rows:
-            writer.writerow([_fmt(conc), _fmt(sdn_t), _fmt(sdn_o)])
-    with open(eta_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["concurrence", "eta_tilted", "eta_optimized"])
-        for conc, _, _, eta_t, eta_o in rows:
-            writer.writerow([_fmt(conc), _fmt(eta_t), _fmt(eta_o)])
-    print(f"wrote {sdn_path}")
-    print(f"wrote {eta_path}")
+    series = (
+        ("sdn_vs_concurrence.csv", ("concurrence", "sdn_tilted", "sdn_optimized"), (0, 1, 2)),
+        ("efficiency_vs_concurrence.csv", ("concurrence", "eta_tilted", "eta_optimized"), (0, 3, 4)),
+    )
+    for name, header, columns in series:
+        csv_path = out_dir / name
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_fmt(row[k]) for k in columns] for row in rows)
+        print(f"wrote {csv_path}")
 
 
 def build_parser() -> argparse.ArgumentParser:

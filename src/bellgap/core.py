@@ -23,6 +23,11 @@ INGEST_TOL = 1e-9
 INTERNAL_TOL = 1e-12
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers, False for booleans (True == 1 in Python)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _frozen(values, dtype=float, shape=None, name="array") -> np.ndarray:
     """Copy to a read-only ndarray with the given dtype and shape."""
     arr = np.array(values, dtype=dtype, copy=True)
@@ -42,9 +47,9 @@ class Scenario:
     d: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
+        if not (_is_integer(self.m) and self.m >= 1):
             raise DomainError(f"m must be a positive integer, got {self.m!r}")
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 2):
+        if not (_is_integer(self.d) and self.d >= 2):
             raise DomainError(f"d must be an integer >= 2, got {self.d!r}")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "d", int(self.d))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Behavior, BellFunctional, Scenario
+from .core import Behavior, BellFunctional, Scenario, _is_integer
 from .errors import SchemaError
 from .stats import CountTable
 
@@ -45,7 +45,7 @@ def file_digest(path) -> str:
 
 def _expect_kind(payload: dict, kind: str) -> None:
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _is_integer(version) or version != FORMAT_VERSION:
         raise SchemaError(
             f"unsupported format_version {version!r} (this build reads {FORMAT_VERSION})"
         )
@@ -55,7 +55,7 @@ def _expect_kind(payload: dict, kind: str) -> None:
 
 def _scenario_of(payload: dict) -> Scenario:
     for key in ("m", "d"):
-        if not isinstance(payload.get(key), int):
+        if not _is_integer(payload.get(key)):
             raise SchemaError(f"field {key!r} must be an integer")
     return Scenario(payload["m"], payload["d"])
 

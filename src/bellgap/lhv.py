@@ -2,9 +2,12 @@
 
 The LHV maximum of a Bell functional is attained at deterministic
 strategies (one fixed outcome per setting and party), so the bound is the
-maximum of d^(2m) linear scores.  Two equivalent enumeration routes are
-used: small scenarios precompute the full strategy-table matrix, larger
-ones enumerate Alice's assignments and exploit that Bob's best response
+maximum of d^(2m) linear scores.  Marginal blocks are folded into the
+joint table first (``core._folded_joint``: a marginal of a deterministic
+strategy is the average of its joint entries), so the enumerators score
+joint tables only.  Two equivalent enumeration routes are used: small
+scenarios precompute the full strategy-table matrix, larger ones
+enumerate Alice's assignments and exploit that Bob's best response
 decomposes per setting.  Both enumerate in lexicographic order on
 (assign_a, assign_b).  One cached enumerator per scenario picks the route;
 the bound, its maximizers, the subgradient and the optimizer's bound
@@ -19,9 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Behavior, BellFunctional, Scenario, INTERNAL_TOL
+from .core import Behavior, BellFunctional, Scenario, INTERNAL_TOL, _folded_joint
 from .errors import CapacityError, DomainError, ShapeMismatchError
 
+# Scenarios with more deterministic strategy pairs raise CapacityError;
+# read by _route at call time.
 DEFAULT_ENUMERATION_CAP = 100_000_000
 
 # Below this many strategy pairs the full score matrix is cached; one
@@ -59,16 +64,17 @@ def _assignment_array(m: int, d: int) -> np.ndarray:
     return arr
 
 
-def _tie_tolerance(bound: float, tie_tolerance: float | None) -> float:
-    return 1e-9 * max(1.0, abs(bound)) if tie_tolerance is None else tie_tolerance
+def _tie_tolerance(bound: float) -> float:
+    """Scores this close to the bound count as maximal."""
+    return 1e-9 * max(1.0, abs(bound))
 
 
 class _MatrixRoute:
     """Scores all strategy pairs with one product against one-hot tables.
 
-    tables_j, tables_a and tables_b have shapes (n, m*m*d*d), (n, m*d) and
-    (n, m*d) with n = d^(2m); row k belongs to Alice's assignment k // d^m
-    and Bob's k % d^m, so rows run in lexicographic order.
+    tables_j has shape (n, m*m*d*d) with n = d^(2m); row k belongs to
+    Alice's assignment k // d^m and Bob's k % d^m, so rows run in
+    lexicographic order.
     """
 
     def __init__(self, m: int, d: int):
@@ -81,33 +87,19 @@ class _MatrixRoute:
         joint = np.zeros((n, m, m, d, d))
         joint[rows[:, None, None], xs[None, :, None], xs[None, None, :],
               ax[:, :, None], by[:, None, :]] = 1.0
-        marg_a = np.zeros((n, m, d))
-        marg_a[rows[:, None], xs[None, :], ax] = 1.0
-        marg_b = np.zeros((n, m, d))
-        marg_b[rows[:, None], xs[None, :], by] = 1.0
-        self.tables_j, self.tables_a, self.tables_b = (
-            t.reshape(n, -1) for t in (joint, marg_a, marg_b)
-        )
-        for t in (self.tables_j, self.tables_a, self.tables_b):
-            t.setflags(write=False)
+        self.tables_j = joint.reshape(n, -1)
+        self.tables_j.setflags(write=False)
 
-    def _scores(self, joint, marginals):
-        scores = self.tables_j @ joint
-        if marginals is not None:
-            scores = scores + self.tables_a @ marginals[0].ravel()
-            scores = scores + self.tables_b @ marginals[1].ravel()
-        return scores
-
-    def best(self, joint, marginals=None):
+    def best(self, joint):
         """(bound, flat joint table of the lexicographically first maximizer)."""
-        scores = self._scores(joint, marginals)
+        scores = self.tables_j @ joint
         k = int(np.argmax(scores))
         return float(scores[k]), self.tables_j[k]
 
-    def maximizers(self, joint, marginals, tie_tolerance):
-        scores = self._scores(joint, marginals)
+    def maximizers(self, joint):
+        scores = self.tables_j @ joint
         bound = float(scores.max())
-        hits = np.nonzero(scores >= bound - _tie_tolerance(bound, tie_tolerance))[0]
+        hits = np.nonzero(scores >= bound - _tie_tolerance(bound))[0]
         n_side = self.assign.shape[0]
         return bound, [
             DeterministicStrategy(tuple(self.assign[k // n_side]), tuple(self.assign[k % n_side]))
@@ -133,31 +125,27 @@ class _ResponseRoute:
         self.a_hot = np.zeros((self.assign.shape[0], m, d))
         self.a_hot[np.arange(self.assign.shape[0])[:, None], self.xs[None, :], self.assign] = 1.0
 
-    def _scores(self, joint, marginals):
+    def _scores(self, joint):
         """(scores, resp): resp[i, y, b] is the total weight of Bob answering
         b on setting y given Alice's i-th assignment, scores[i] the best total."""
         xs, assign = self.xs, self.assign
         # joint transposed to [x, a, y, b], then Alice's outcomes gathered per x.
         resp = joint.reshape(self.shape).transpose(0, 2, 1, 3)[xs[None, :], assign].sum(axis=1)
-        if marginals is None:
-            return resp.max(axis=2).sum(axis=1), resp
-        resp = resp + marginals[1][None, :, :]
-        base = marginals[0][xs[None, :], assign].sum(axis=1)
-        return base + resp.max(axis=2).sum(axis=1), resp
+        return resp.max(axis=2).sum(axis=1), resp
 
-    def best(self, joint, marginals=None):
+    def best(self, joint):
         """(bound, flat joint table of the lexicographically first maximizer)."""
-        scores, resp = self._scores(joint, marginals)
+        scores, resp = self._scores(joint)
         i = int(np.argmax(scores))
         best_b = resp[i].argmax(axis=1)
         table = np.zeros(self.shape)
         table[self.xs[:, None], self.xs[None, :], self.assign[i][:, None], best_b[None, :]] = 1.0
         return float(scores[i]), table.ravel()
 
-    def maximizers(self, joint, marginals, tie_tolerance):
-        scores, resp = self._scores(joint, marginals)
+    def maximizers(self, joint):
+        scores, resp = self._scores(joint)
         bound = float(scores.max())
-        tie_tolerance = _tie_tolerance(bound, tie_tolerance)
+        tie_tolerance = _tie_tolerance(bound)
         found = []
         for i in np.nonzero(scores >= bound - tie_tolerance)[0]:
             budget = scores[i] - bound + tie_tolerance
@@ -171,7 +159,7 @@ class _ResponseRoute:
         return bound, found
 
     def smooth(self, joint, tau):
-        _, resp = self._scores(joint, None)
+        _, resp = self._scores(joint)
         # The pair sum factorizes over Bob's settings for fixed Alice
         # assignment, so the log-sum-exp needs only d^m * m * d work.
         peak_b = resp.max(axis=2, keepdims=True)
@@ -192,36 +180,28 @@ def _cached_route(m: int, d: int, matrix: bool):
     return _MatrixRoute(m, d) if matrix else _ResponseRoute(m, d)
 
 
-def _route(scenario: Scenario, enumeration_cap: int):
+def _route(scenario: Scenario):
     """The scenario's cached enumerator, after the enumeration-cap check."""
     total = scenario.d ** (2 * scenario.m)
-    if total > enumeration_cap:
+    if total > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
-            f"{total} deterministic strategies exceed the enumeration cap {enumeration_cap}"
+            f"{total} deterministic strategies exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
     return _cached_route(scenario.m, scenario.d, total <= _MATRIX_PATH_LIMIT)
 
 
-def _parts(f: BellFunctional):
-    """(flat joint, marginals or None when the functional is joint-only)."""
-    return f.joint.ravel(), None if f.is_joint_only else (f.marginal_a, f.marginal_b)
+def lhv_bound(functional: BellFunctional) -> LhvResult:
+    """Exact LHV bound and all maximizing strategies, by exhaustive enumeration.
 
-
-def lhv_bound(
-    functional: BellFunctional,
-    *,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-    tie_tolerance: float | None = None,
-) -> LhvResult:
-    """Exact LHV bound and all maximizing strategies, by exhaustive enumeration."""
-    route = _route(functional.scenario, enumeration_cap)
-    bound, maximizers = route.maximizers(*_parts(functional), tie_tolerance)
+    Strategies scoring within 1e-9 * max(1, |bound|) of the bound count as
+    maximizers.
+    """
+    route = _route(functional.scenario)
+    bound, maximizers = route.maximizers(_folded_joint(functional).ravel())
     return LhvResult(bound, tuple(maximizers))
 
 
-def lhv_subgradient(
-    functional: BellFunctional, *, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> np.ndarray:
+def lhv_subgradient(functional: BellFunctional) -> np.ndarray:
     """Joint table of the lexicographically first maximizer.
 
     The LHV bound is a maximum of finitely many linear functions of the
@@ -229,7 +209,7 @@ def lhv_subgradient(
     respect to the joint block; the lexicographic tie-break makes the
     choice deterministic.
     """
-    _, table = _route(functional.scenario, enumeration_cap).best(*_parts(functional))
+    _, table = _route(functional.scenario).best(_folded_joint(functional).ravel())
     return table.reshape(functional.scenario.joint_shape).copy()
 
 
@@ -250,7 +230,7 @@ def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> Be
     return Behavior(scenario, p, tol=INTERNAL_TOL)
 
 
-def make_joint_bound_oracle(scenario: Scenario, *, enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
+def make_joint_bound_oracle(scenario: Scenario):
     """Fast evaluator s_flat, tau -> (bound, gradient_flat) for joint-only coefficients.
 
     At tau = 0 the bound is the exact LHV maximum and the gradient is the
@@ -264,7 +244,7 @@ def make_joint_bound_oracle(scenario: Scenario, *, enumeration_cap: int = DEFAUL
     stalling on the kinks of the exact bound.  The enumeration structures
     are cached per scenario; the returned gradient row must not be mutated.
     """
-    route = _route(scenario, enumeration_cap)
+    route = _route(scenario)
     best, smooth = route.best, route.smooth
 
     def oracle(s_flat: np.ndarray, tau: float = 0.0):

@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     InfeasibleEfficiencyError,
     NoViolationError,
-    NumericalError,
     ShapeMismatchError,
     UnsupportedScenarioError,
 )
@@ -44,9 +43,6 @@ _DISC_TOL = 1e-12
 
 # Roots must clear zero by this much; eta lives in the half-open (0, 1].
 _ROOT_TOL = 1e-12
-
-# Agreement required between the two canonical-bound routes.
-_BOUND_AGREEMENT = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,40 +164,18 @@ def canonical_value(cf: CanonicalFunctional, b: Behavior) -> float:
     return cf.scale * sum(canonical_terms(cf, b)) + cf.offset
 
 
-def _as_functional(cf: CanonicalFunctional) -> BellFunctional:
-    """Canonical coefficients re-embedded into outcome-0 slots (no offset)."""
-    sc = cf.scenario
-    joint = np.zeros(sc.joint_shape)
-    joint[:, :, 0, 0] = cf.joint0
-    marg_a = np.zeros(sc.marginal_shape)
-    marg_a[:, 0] = cf.marg_a0
-    marg_b = np.zeros(sc.marginal_shape)
-    marg_b[:, 0] = cf.marg_b0
-    return BellFunctional(sc, joint, marg_a, marg_b)
-
-
 def canonical_lhv_bound(cf: CanonicalFunctional) -> float:
     """LHV bound of the canonical coefficients (offset and scale removed).
 
-    Computed twice: once through the general strategy enumeration on the
-    re-embedded functional and once by the closed-form maximization over
-    outcome-0 indicator vectors.  The routes must agree within 1e-10.
+    The coefficients go into the outcome-0 slots of a functional whose
+    other entries are zero, bounded by the general enumeration ``lhv_bound``.
     """
-    general = lhv_bound(_as_functional(cf)).bound
-
-    # Deterministic d=2 strategies are indicator vectors a0, b0 in {0,1}^m
-    # with p(00|xy) = a0[x] b0[y]; given a0, the best b0 is chosen per
-    # setting, so only Alice's 2^m assignments need enumeration.
-    m = cf.scenario.m
-    a0 = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
-    t = a0 @ cf.joint0 + cf.marg_b0
-    direct = float((a0 @ cf.marg_a0 + np.maximum(t, 0.0).sum(axis=1)).max())
-
-    if abs(general - direct) > _BOUND_AGREEMENT * max(1.0, abs(direct)):
-        raise NumericalError(
-            f"canonical bound routes disagree: general {general!r}, direct {direct!r}"
-        )
-    return general
+    sc = cf.scenario
+    joint = np.zeros(sc.joint_shape)
+    joint[:, :, 0, 0] = cf.joint0
+    marg_a, marg_b = np.zeros(sc.marginal_shape), np.zeros(sc.marginal_shape)
+    marg_a[:, 0], marg_b[:, 0] = cf.marg_a0, cf.marg_b0
+    return lhv_bound(BellFunctional(sc, joint, marg_a, marg_b)).bound
 
 
 def critical_efficiency(

@@ -33,15 +33,14 @@ be calibrated for larger scenarios before they are solved exactly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .core import BellFunctional, absorb_marginals, rescale
+from .core import BellFunctional, _is_integer, absorb_marginals, rescale
 from .errors import DegenerateObjectiveError, DomainError
-from .lhv import DEFAULT_ENUMERATION_CAP, _route, lhv_bound, make_joint_bound_oracle
+from .lhv import _route, lhv_bound, make_joint_bound_oracle
 from .stats import CountTable, error_propagation, propagate
 
 # Sentinel returned when the shifted denominator C + dm falls below
@@ -96,7 +95,7 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("restarts", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise DomainError("restarts must be a positive integer")
@@ -384,7 +383,7 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     # C + dm -> 0+, and on local 3x3 counts the exact optimum passes the
     # uncalibrated SIGNIFICANCE_SDN gate (R = 1.0048, SDN 3.65).
     if (sc.m, sc.d) == (2, 2):
-        tables = _route(sc, DEFAULT_ENUMERATION_CAP).tables_j
+        tables = _route(sc).tables_j
         s_x, r_x, r_upper = _dinkelbach(model, tables, dm)
         runs = [(s_x, r_x)]
     else:

@@ -14,7 +14,9 @@ import numpy as np
 import scipy.sparse
 from scipy.optimize import Bounds, LinearConstraint, minimize
 
-from .core import Behavior, BellFunctional, Scenario, INGEST_TOL, _folded_joint, ns_residual
+from .core import (
+    Behavior, BellFunctional, Scenario, INGEST_TOL, _folded_joint, _is_integer, ns_residual,
+)
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -73,13 +75,11 @@ class ErrorReport:
     partials: np.ndarray
 
 
-def frequencies(counts: CountTable, setting_weights=None) -> Behavior:
-    """Relative frequencies per block; weights inferred from totals unless given."""
+def frequencies(counts: CountTable) -> Behavior:
+    """Relative frequencies per block, with setting weights from the block totals."""
     totals = counts.block_totals()
     p = counts.c / totals[:, :, None, None]
-    if setting_weights is None:
-        setting_weights = totals / totals.sum()
-    return Behavior(counts.scenario, p, setting_weights, tol=INGEST_TOL)
+    return Behavior(counts.scenario, p, totals / totals.sum(), tol=INGEST_TOL)
 
 
 def poisson_sample(b: Behavior, n_per_setting: int, seed: int) -> CountTable:
@@ -88,11 +88,10 @@ def poisson_sample(b: Behavior, n_per_setting: int, seed: int) -> CountTable:
     Uses numpy's PCG64 generator and its Poisson sampler, both stable,
     documented algorithms, so a seed pins the table exactly.
     """
-    n = int(n_per_setting)
-    if n <= 0:
-        raise DomainError(f"n_per_setting must be positive, got {n_per_setting!r}")
+    if not (_is_integer(n_per_setting) and n_per_setting > 0):
+        raise DomainError(f"n_per_setting must be a positive integer, got {n_per_setting!r}")
     rng = np.random.default_rng(seed)
-    return CountTable(b.scenario, rng.poisson(n * b.p))
+    return CountTable(b.scenario, rng.poisson(int(n_per_setting) * b.p))
 
 
 def propagate(weights: np.ndarray, freq: np.ndarray, totals: np.ndarray, counts: np.ndarray):

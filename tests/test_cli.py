@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bellgap import (
+    BellFunctional,
     OptimizerConfig,
     Scenario,
     io,
@@ -86,6 +87,15 @@ class TestBound:
         assert main(["bound", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["m", "format_version"])
+    def test_boolean_integer_field_is_a_schema_error(self, tmp_path, capsys, key):
+        payload = io.functional_to_payload(BellFunctional(Scenario(1, 2), np.ones((1, 1, 2, 2))))
+        payload[key] = True
+        path = tmp_path / "f.json"
+        io.write_json(path, payload)
+        assert main(["bound", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_matches_error_propagation(self, data_dir, capsys):
@@ -102,8 +112,6 @@ class TestEvaluate:
 
     def test_zero_functional_reports_zero_sdn(self, data_dir, tmp_path, capsys):
         path = tmp_path / "zero.json"
-        from bellgap import BellFunctional
-
         io.write_functional(path, BellFunctional(CHSH, np.zeros(CHSH.joint_shape)))
         assert main(["evaluate", str(path), str(data_dir / "tilted_counts.json")]) == 0
         q_line, dq_line, sdn_line = capsys.readouterr().out.splitlines()

@@ -34,6 +34,15 @@ class TestScenario:
         with pytest.raises(DomainError):
             Scenario(1.5, 2)
 
+    @pytest.mark.parametrize("m, d", [(True, 2), (2, True), (np.True_, 2)])
+    def test_booleans_are_not_counts(self, m, d):
+        with pytest.raises(DomainError):
+            Scenario(m, d)
+
+    def test_numpy_integers_accepted(self):
+        sc = Scenario(np.int64(3), np.int32(2))
+        assert (sc.m, sc.d) == (3, 2) and type(sc.m) is int
+
 
 class TestBehavior:
     def test_uniform_blocks_normalized(self):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from bellgap import SchemaError, Scenario, io, tilted_behavior, tilted_functional
+from bellgap import BellFunctional, SchemaError, Scenario, io, tilted_behavior, tilted_functional
 from bellgap.stats import CountTable, poisson_sample
 
 from helpers import random_functional, random_ns_behavior
@@ -111,6 +111,16 @@ class TestSchemaGates:
         payload = io.functional_to_payload(tilted_functional(0.0))
         payload["m"] = 2.0
         with pytest.raises(SchemaError, match="'m'"):
+            io.functional_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "key, message", [("m", "field 'm'"), ("d", "field 'd'"), ("format_version", "format_version")]
+    )
+    def test_boolean_integer_field_rejected(self, key, message):
+        # true == 1, so a one-setting functional would otherwise read as valid.
+        payload = io.functional_to_payload(BellFunctional(Scenario(1, 2), np.ones((1, 1, 2, 2))))
+        payload[key] = True
+        with pytest.raises(SchemaError, match=message):
             io.functional_from_payload(payload)
 
     def test_missing_table(self):

@@ -19,7 +19,9 @@ from bellgap import (
     strategy_behavior,
     tilted_functional,
 )
+from bellgap import io
 from bellgap import lhv as lhv_module
+from bellgap.cli import main
 
 from helpers import random_functional
 
@@ -29,6 +31,9 @@ CHSH = Scenario(2, 2)
 # the matrix-route limit, by forcing the best-response route with the
 # limit set to 0.  Each test loops over them so its id stays the same.
 ROUTE_SCENARIOS = (CHSH, Scenario(3, 2), Scenario(4, 2), Scenario(3, 3))
+
+# 3^8 strategy pairs: the matrix route covers 4x3 only with the limit raised.
+FULL_MATRIX_LIMIT = 6561
 
 
 def brute_force_bound(f: BellFunctional) -> float:
@@ -111,24 +116,33 @@ class TestLhvBound:
         assert res.maximizers[0] == DeterministicStrategy((0, 0), (0, 0))
         assert res.maximizers[-1] == DeterministicStrategy((1, 1), (1, 1))
 
-    def test_tie_tolerance_widens_the_maximizer_set(self):
+    def test_near_tie_beyond_the_tolerance_is_not_a_maximizer(self):
         joint = np.zeros(CHSH.joint_shape)
         joint[0, 0, 0, 0] = 1.0
         joint[0, 0, 1, 1] = 1.0 - 1e-6
         f = BellFunctional(CHSH, joint)
         assert len(lhv_bound(f).maximizers) == 4
-        assert len(lhv_bound(f, tie_tolerance=1e-3).maximizers) == 8
 
     def test_capacity_error_on_large_scenario(self):
         f = BellFunctional(Scenario(14, 2), np.zeros(Scenario(14, 2).joint_shape))
         with pytest.raises(CapacityError):
             lhv_bound(f)
 
-    def test_enumeration_cap_is_adjustable(self):
+    def test_enumeration_cap_is_adjustable(self, tmp_path, monkeypatch):
+        # 2x2 has 16 strategy pairs: a cap of 15 refuses it, 16 admits it.
         f = random_functional(CHSH, np.random.default_rng(7))
+        path = tmp_path / "f.json"
+        io.write_functional(path, f)
+        monkeypatch.setattr(lhv_module, "DEFAULT_ENUMERATION_CAP", 15)
         with pytest.raises(CapacityError):
-            lhv_bound(f, enumeration_cap=15)
-        lhv_bound(f, enumeration_cap=16)
+            lhv_bound(f)
+        with pytest.raises(CapacityError):
+            make_joint_bound_oracle(CHSH)
+        assert main(["bound", str(path)]) == 3
+        monkeypatch.setattr(lhv_module, "DEFAULT_ENUMERATION_CAP", 16)
+        lhv_bound(f)
+        make_joint_bound_oracle(CHSH)
+        assert main(["bound", str(path)]) == 0
 
 
 class TestBestResponsePath:
@@ -139,10 +153,11 @@ class TestBestResponsePath:
         rng = np.random.default_rng(200 + seed)
         # Rounded coefficients in odd seeds make ties, so maximizer sets
         # with several members are compared too.
-        fs = [random_functional(sc, rng) for sc in ROUTE_SCENARIOS]
+        fs = [random_functional(sc, rng) for sc in ROUTE_SCENARIOS + (Scenario(4, 3),)]
         if seed % 2:
             fs = [BellFunctional(f.scenario, np.round(f.joint), np.round(f.marginal_a),
                                  np.round(f.marginal_b)) for f in fs]
+        monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", FULL_MATRIX_LIMIT)
         via_matrix = [lhv_bound(f) for f in fs]
         monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
         for f, ref in zip(fs, via_matrix):
@@ -173,6 +188,51 @@ class TestBestResponsePath:
         monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
         for f, ref in zip(fs, via_matrix):
             np.testing.assert_array_equal(lhv_subgradient(f), ref, err_msg=str(f.scenario))
+
+
+def _relabeled(f: BellFunctional, kind: str, rng) -> BellFunctional:
+    """f on relabeled outcomes, settings or parties; the LHV bound must not change."""
+    sc = f.scenario
+    joint, marg_a, marg_b = f.joint.copy(), f.marginal_a.copy(), f.marginal_b.copy()
+    if kind == "outcomes":
+        # Outcome a of Alice's setting x becomes pa[x][a]; likewise for Bob.
+        pa = [rng.permutation(sc.d) for _ in range(sc.m)]
+        pb = [rng.permutation(sc.d) for _ in range(sc.m)]
+        for x in range(sc.m):
+            for y in range(sc.m):
+                joint[x, y][np.ix_(pa[x], pb[y])] = f.joint[x, y]
+        for k in range(sc.m):
+            marg_a[k, pa[k]] = f.marginal_a[k]
+            marg_b[k, pb[k]] = f.marginal_b[k]
+    elif kind == "settings":
+        sa, sb = rng.permutation(sc.m), rng.permutation(sc.m)
+        joint[np.ix_(sa, sb)] = f.joint
+        marg_a[sa], marg_b[sb] = f.marginal_a, f.marginal_b
+    else:
+        joint = f.joint.transpose(1, 0, 3, 2)
+        marg_a, marg_b = f.marginal_b, f.marginal_a
+    return BellFunctional(sc, joint, marg_a, marg_b)
+
+
+class TestRelabelingInvariance:
+    """Relabeling outcomes, settings or parties permutes the strategies."""
+
+    @pytest.mark.parametrize("route_limit", [lhv_module._MATRIX_PATH_LIMIT, 0])
+    @pytest.mark.parametrize("kind", ["outcomes", "settings", "parties"])
+    def test_bound_and_maximizer_count(self, kind, route_limit, monkeypatch):
+        monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", route_limit)
+        rng = np.random.default_rng(700)
+        for sc in (CHSH, Scenario(3, 2), Scenario(3, 3)):
+            for rounded in (False, True):
+                f = random_functional(sc, rng)
+                if rounded:
+                    # Integer coefficients tie, so maximizer counts above one are compared.
+                    f = BellFunctional(sc, np.round(f.joint), np.round(f.marginal_a),
+                                       np.round(f.marginal_b))
+                ref, got = lhv_bound(f), lhv_bound(_relabeled(f, kind, rng))
+                np.testing.assert_allclose(got.bound, ref.bound, rtol=1e-12, atol=1e-12,
+                                           err_msg=str(sc))
+                assert len(got.maximizers) == len(ref.maximizers), sc
 
 
 class TestSubgradient:

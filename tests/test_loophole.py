@@ -10,7 +10,6 @@ from bellgap import (
     EfficiencyResult,
     InfeasibleEfficiencyError,
     NoViolationError,
-    NumericalError,
     Scenario,
     ShapeMismatchError,
     UnsupportedScenarioError,
@@ -34,6 +33,19 @@ from helpers import random_functional, random_ns_behavior, signaling_behavior
 
 CHSH = Scenario(2, 2)
 SQRT2 = np.sqrt(2.0)
+
+
+def closed_form_canonical_bound(cf: CanonicalFunctional) -> float:
+    """Independent d = 2 maximization over outcome-0 indicator vectors.
+
+    Deterministic strategies are indicator vectors a0, b0 in {0,1}^m with
+    p(00|xy) = a0[x] b0[y]; given a0 the best b0 is chosen per setting, so
+    only Alice's 2^m assignments are enumerated.
+    """
+    m = cf.scenario.m
+    a0 = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+    t = a0 @ cf.joint0 + cf.marg_b0
+    return float((a0 @ cf.marg_a0 + np.maximum(t, 0.0).sum(axis=1)).max())
 
 
 def chsh_canonical():
@@ -161,15 +173,17 @@ class TestCanonicalLhvBound:
             f = random_functional(CHSH, np.random.default_rng(920 + seed), scale=3.0)
             assert canonical_lhv_bound(canonicalize(f)) >= 0.0
 
-    def test_route_disagreement_is_an_error(self, monkeypatch):
-        cf = chsh_canonical()
-
-        class FakeResult:
-            bound = 123.0
-
-        monkeypatch.setattr(loophole_module, "lhv_bound", lambda f: FakeResult())
-        with pytest.raises(NumericalError, match="disagree"):
-            canonical_lhv_bound(cf)
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_closed_form_maximization(self, m):
+        rng = np.random.default_rng(930 + m)
+        for _ in range(5):
+            cf = CanonicalFunctional(
+                Scenario(m, 2), rng.uniform(-2, 2, (m, m)), rng.uniform(-2, 2, m),
+                rng.uniform(-2, 2, m), 0.0,
+            )
+            np.testing.assert_allclose(
+                canonical_lhv_bound(cf), closed_form_canonical_bound(cf), rtol=1e-12, atol=1e-12
+            )
 
 
 class TestCriticalEfficiency:

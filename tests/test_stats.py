@@ -114,12 +114,6 @@ class TestFrequencies:
         np.testing.assert_allclose(b.p.sum(axis=(2, 3)), np.ones((2, 2)), rtol=1e-15)
         np.testing.assert_allclose(b.setting_weights, [[1 / 6, 1 / 6], [1 / 6, 1 / 2]], rtol=1e-14)
 
-    def test_explicit_weights_pass_through(self):
-        c = np.ones(CHSH.joint_shape)
-        w = np.array([[0.4, 0.1], [0.1, 0.4]])
-        b = frequencies(CountTable(CHSH, c), setting_weights=w)
-        np.testing.assert_array_equal(b.setting_weights, w)
-
     def test_counts_recovered_from_frequencies(self):
         rng = np.random.default_rng(3)
         c = rng.integers(1, 50, size=CHSH.joint_shape)
@@ -150,6 +144,17 @@ class TestPoissonSample:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(DomainError):
             poisson_sample(uniform_behavior(CHSH), 0, seed=1)
+
+    @pytest.mark.parametrize("n", [2.9, 1000.0, True, "1000", None])
+    def test_rejects_non_integer_rate(self, n):
+        with pytest.raises(DomainError, match="n_per_setting"):
+            poisson_sample(uniform_behavior(CHSH), n, seed=1)
+
+    def test_numpy_integer_rate_accepted(self):
+        b = uniform_behavior(CHSH)
+        np.testing.assert_array_equal(
+            poisson_sample(b, np.int64(1000), seed=4).c, poisson_sample(b, 1000, seed=4).c
+        )
 
 
 class TestErrorPropagation:
