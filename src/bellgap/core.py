@@ -201,10 +201,15 @@ def rescale(functional: BellFunctional, kappa: float) -> BellFunctional:
     )
 
 
-def _folded_joint(f: BellFunctional) -> np.ndarray:
+def _fold(joint: np.ndarray, marg_a: np.ndarray, marg_b: np.ndarray) -> np.ndarray:
     """Per-entry weight s^{ab}_{xy} + s^a_{Ax}/m + s^b_{By}/m of each probability."""
-    m = f.scenario.m
-    return f.joint + f.marginal_a[:, None, :, None] / m + f.marginal_b[None, :, None, :] / m
+    m = joint.shape[0]
+    return joint + marg_a[:, None, :, None] / m + marg_b[None, :, None, :] / m
+
+
+def _folded_joint(f: BellFunctional) -> np.ndarray:
+    """The functional's coefficients folded into one joint table (``_fold``)."""
+    return _fold(f.joint, f.marginal_a, f.marginal_b)
 
 
 def absorb_marginals(functional: BellFunctional) -> BellFunctional:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Behavior, BellFunctional, Scenario, _frozen, marginals
+from .core import Behavior, BellFunctional, Scenario, _fold, _frozen, marginals
 from .errors import (
     DomainError,
     InfeasibleEfficiencyError,
@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedScenarioError,
 )
-from .lhv import lhv_bound
+from .lhv import _route
 
 EFFICIENCY_MODES = ("asymmetric_b_perfect", "symmetric")
 
@@ -167,15 +167,17 @@ def canonical_value(cf: CanonicalFunctional, b: Behavior) -> float:
 def canonical_lhv_bound(cf: CanonicalFunctional) -> float:
     """LHV bound of the canonical coefficients (offset and scale removed).
 
-    The coefficients go into the outcome-0 slots of a functional whose
-    other entries are zero, bounded by the general enumeration ``lhv_bound``.
+    The coefficients go into the outcome-0 slots of coefficient tables whose
+    other entries are zero; their folded joint table is scored by the same
+    enumeration route as ``lhv_bound``, which gives the same bound without
+    validating a functional or listing the maximizers.
     """
     sc = cf.scenario
     joint = np.zeros(sc.joint_shape)
     joint[:, :, 0, 0] = cf.joint0
     marg_a, marg_b = np.zeros(sc.marginal_shape), np.zeros(sc.marginal_shape)
     marg_a[:, 0], marg_b[:, 0] = cf.marg_a0, cf.marg_b0
-    return lhv_bound(BellFunctional(sc, joint, marg_a, marg_b)).bound
+    return _route(sc).best(_fold(joint, marg_a, marg_b).ravel())[0]
 
 
 def critical_efficiency(

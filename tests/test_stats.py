@@ -1,13 +1,17 @@
 """Tests for count tables, Poisson errors, KL divergence, and the NS projection."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from bellgap import (
     Behavior,
     ConvergenceError,
     CountTable,
     DegenerateDataError,
+    DeterministicStrategy,
     DomainError,
     InfiniteDivergenceError,
     Scenario,
@@ -19,10 +23,13 @@ from bellgap import (
     ns_project,
     ns_residual,
     poisson_sample,
+    strategy_behavior,
     tilted_behavior,
     tilted_functional,
     uniform_behavior,
 )
+
+from bellgap import stats as stats_module
 
 from helpers import random_functional, random_ns_behavior, signaling_behavior
 
@@ -285,16 +292,121 @@ class TestNsProject:
         assert kl_divergence(small, ns_project(small)) < kl_divergence(large, ns_project(large))
 
     def test_stalled_solver_raises_with_best_iterate(self, monkeypatch):
-        # A solver answer that still signals must be rejected, not returned.
-        from bellgap import stats as stats_module
-
+        # A solver answer that still signals must be rejected, not returned:
+        # here every Newton centering stalls at the signaling input itself.
         f = signaling_behavior(CHSH, np.random.default_rng(8))
-
-        class FakeResult:
-            x = f.p.ravel()
-
-        monkeypatch.setattr(stats_module, "minimize", lambda *a, **k: FakeResult())
+        monkeypatch.setattr(stats_module, "_center", lambda p, w, a_eq, b_eq: f.p.ravel())
         with pytest.raises(ConvergenceError) as info:
             ns_project(f)
         assert isinstance(info.value.best, Behavior)
         assert ns_residual(info.value.best).max > 1e-8
+
+    def test_singular_kkt_system_is_a_convergence_error(self, monkeypatch):
+        f = signaling_behavior(CHSH, np.random.default_rng(8))
+        monkeypatch.setattr(stats_module, "dgesv", lambda a, b: (a, None, b, 1))
+        with pytest.raises(ConvergenceError, match="singular"):
+            ns_project(f)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("source", ["tilted_2x2", "local_3x2_2", "local_3x2_3",
+                                        "local_3x3_2", "local_3x3_3"])
+    def test_zero_counts_reach_the_global_minimum(self, source, seed):
+        # Deterministic-vertex data sampled at N = 1000 leave zero counts, where
+        # the divergence has no curvature.  The divergence is convex in p, so a
+        # feasible p at which no no-signaling candidate q decreases it to first
+        # order is the global minimum.  The candidates are random no-signaling
+        # behaviors, random mixtures of the local strategies the data support,
+        # and the no-signaling vertex with the largest first-order decrease.
+        f = zero_count_frequencies(source, seed)
+        assert f.p.min() == 0.0
+        proj = ns_project(f)
+        assert ns_residual(proj).max <= 1e-8
+        rng = np.random.default_rng(seed)
+        supported = supported_strategies(f)
+        candidates = [random_ns_behavior(f.scenario, rng).p for _ in range(20)]
+        candidates += [np.tensordot(rng.dirichlet(np.ones(len(supported))), supported, axes=1)
+                       for _ in range(20)]
+        candidates.append(steepest_ns_vertex(f, proj))
+        for q in candidates:
+            for t in (1e-4, 1e-8, 1e-12):
+                assert kl_increase(f, proj.p, q, t) >= -1e-12 * t, (t, kl_increase(f, proj.p, q, t))
+
+    @pytest.mark.parametrize("kind", ["outcomes", "settings", "parties"])
+    def test_projection_commutes_with_relabeling(self, kind):
+        rng = np.random.default_rng(60)
+        inputs = [
+            frequencies(poisson_sample(random_ns_behavior(sc, rng), 10_000, seed=61))
+            for sc in (Scenario(3, 2), Scenario(3, 3))
+        ]
+        inputs.append(zero_count_frequencies("local_3x3_2", 0))
+        for f in inputs:
+            p, weights = relabeled(f.p, f.setting_weights, kind)
+            got = ns_project(Behavior(f.scenario, p, weights))
+            want, _ = relabeled(ns_project(f).p, f.setting_weights, kind)
+            np.testing.assert_allclose(got.p, want, rtol=0, atol=1e-12, err_msg=str(f.scenario))
+
+
+def zero_count_frequencies(source: str, seed: int) -> Behavior:
+    """Frequencies of N = 1000 counts per setting from a behavior with zero entries.
+
+    ``tilted_2x2`` samples tilted_behavior(2.0); ``local_<m>x<d>_<k>`` samples
+    a mixture of k random deterministic strategies.
+    """
+    if source == "tilted_2x2":
+        b = tilted_behavior(2.0)
+    else:
+        shape, k = source.split("_")[1:]
+        m, d = (int(v) for v in shape.split("x"))
+        b = random_ns_behavior(Scenario(m, d), np.random.default_rng(seed), n_components=int(k))
+    return frequencies(poisson_sample(b, 1000, seed))
+
+
+def supported_strategies(f: Behavior) -> np.ndarray:
+    """Joint tables of the deterministic strategies that put no weight where f vanishes."""
+    sc = f.scenario
+    tables = []
+    for a in itertools.product(range(sc.d), repeat=sc.m):
+        for b in itertools.product(range(sc.d), repeat=sc.m):
+            table = strategy_behavior(DeterministicStrategy(a, b), sc).p
+            if np.all(f.p[table > 0] > 0):
+                tables.append(table)
+    return np.stack(tables)
+
+
+def steepest_ns_vertex(f: Behavior, proj: Behavior) -> np.ndarray:
+    """No-signaling q maximizing sum w q / proj over f's support, w the weighted frequencies.
+
+    That sum is the first-order decrease of the divergence along q - proj,
+    up to a constant, so this q is the hardest candidate for a claimed minimum.
+    """
+    a_eq, b_eq = stats_module._ns_constraint_matrix(f.scenario)
+    w = (f.setting_weights[:, :, None, None] * f.p).ravel()
+    gain = np.divide(w, proj.p.ravel(), out=np.zeros_like(w), where=w > 0)
+    res = linprog(-gain, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+    assert res.status == 0, res.message
+    q = np.clip(res.x, 0.0, None).reshape(f.scenario.joint_shape)
+    assert ns_residual(Behavior(f.scenario, q)).max <= 1e-9
+    return q
+
+
+def kl_increase(f: Behavior, p: np.ndarray, q: np.ndarray, t: float) -> float:
+    """kl_divergence(f, (1 - t) p + t q) - kl_divergence(f, p), in bits.
+
+    Summed as -w log1p(t (q - p) / p) term by term, so the difference of two
+    nearly equal divergences loses no digits to cancellation.
+    """
+    support = f.p > 0
+    w = (f.setting_weights[:, :, None, None] * f.p)[support]
+    return -float(w @ np.log1p(t * (q - p)[support] / p[support])) / np.log(2.0)
+
+
+def relabeled(p: np.ndarray, weights: np.ndarray, kind: str):
+    """(p, weights) with Alice's outcomes of setting 1 cycled, Bob's settings
+    cycled, or the parties swapped."""
+    if kind == "outcomes":
+        p = p.copy()
+        p[1] = np.roll(p[1], 1, axis=1)
+        return p, weights
+    if kind == "settings":
+        return np.roll(p, 1, axis=1), np.roll(weights, 1, axis=1)
+    return p.transpose(1, 0, 3, 2), weights.T
