@@ -10,24 +10,28 @@ denominator away from zero.  Data admits no local model exactly when some
 functional reaches R > 1.  The search runs over joint-only coefficients in
 the box [-1, 1]^((dm)^2), by one of two paths:
 
-* 2x2 counts are solved exactly.  R is a concave numerator over a positive
-  convex denominator, so Dinkelbach's method (Dinkelbach 1967; Schaible
-  1976) reaches max R through a few convex subproblems, and weak duality
-  gives a certified upper bound on it.
+* 2x2 counts are solved exactly.  With u = s + 1 >= 0, R is a concave
+  numerator over a convex denominator, both positively homogeneous in u,
+  so max R is one concave program (Charnes & Cooper 1962) and one LP
+  certifies an upper bound on it.
 * Every other scenario keeps the annealed gradient search from independent
   random restarts, which samples max R rather than solving it.
 
-The split has two reasons.  When m > d the box holds points with
+The split has three reasons.  When m > d the box holds points with
 C + dm <= 0, since a strategy can score as low as -m^2 < -dm.  Near that
 boundary C + dm -> 0+ while the numerator can stay positive, so R is
 unbounded above: on chained-Bell 3x2 counts (concurrence 0.582, N = 1e5 per
 setting, sampling seed 77), s = -1 + 0.3003 g, with g the chained
 functional shifted to be nonnegative per block, has C + dm = 0.003 and
 R = 11.2.  The restart search does not reach this region and reports
-R = 1.021 there; an exact maximizer would chase the pole.  And on local
-3x3 counts the exact optimum clears the SIGNIFICANCE_SDN gate (R = 1.0048
-at SDN 3.65) where the restart search stays below R = 1, so the gate must
-be calibrated for larger scenarios before they are solved exactly.
+R = 1.021 there; an exact maximizer would chase the pole.  Shifting by m^2
+instead of dm removes the pole, but the exact optimum of that ratio is a
+weaker witness on the same data: the SDN of the chained 3x2 counts falls
+from 59.91 to 53.68, and of the chained 4x2 counts from 75.14 to 64.04.
+And on local 3x3 counts the exact optimum clears the SIGNIFICANCE_SDN gate
+(R = 1.0048 at SDN 3.65) where the restart search stays below R = 1, so the
+gate must be calibrated for larger scenarios before they are solved
+exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .core import BellFunctional, _is_integer, absorb_marginals, rescale
+from .core import BellFunctional, _is_integer
 from .errors import DegenerateObjectiveError, DomainError
 from .lhv import _route, lhv_bound, make_joint_bound_oracle
 from .stats import CountTable, error_propagation, propagate
@@ -76,11 +80,6 @@ _TAU_INIT = 0.5
 _TAU_DECAY = 0.25
 _TAU_FLOOR = 1e-10
 
-# Dinkelbach stops once F(t) <= _DINKELBACH_TOL * max(1, t); it converges
-# superlinearly, so the iteration cap is only a guard.
-_DINKELBACH_TOL = 1e-12
-_DINKELBACH_MAX_ITERS = 50
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -107,8 +106,9 @@ class OptimizationResult:
 
     engine_trace holds the final R of every restart, or on the exact 2x2
     path one entry, the maximal R (both before the significance gate).
-    r_upper is an upper bound on max R over the box: the duality
-    certificate on the exact path, math.inf on the restart path.
+    r_upper is an upper bound on max R over the box: the LP certificate
+    of the Charnes-Cooper program on the exact path, math.inf on the
+    restart path.
     """
 
     functional: BellFunctional
@@ -145,25 +145,10 @@ def r_value(q: float, delta_q: float, c: float, dm: float) -> float:
     return (q - delta_q + dm) / (c + dm)
 
 
-def absorb_into_box(f: BellFunctional) -> tuple[BellFunctional, float]:
-    """Joint-only form of f scaled into the coefficient box.
-
-    Marginal blocks are folded into the joint table; if any resulting
-    entry exceeds 1 in magnitude the whole functional is divided by the
-    largest magnitude.  Returns (joint-only functional, divisor applied).
-    The ratio R is not scale-invariant, so callers must report the divisor.
-    """
-    g = absorb_marginals(f)
-    peak = float(np.abs(g.joint).max())
-    if peak <= 1.0:
-        return g, 1.0
-    return rescale(g, 1.0 / peak), peak
-
-
 def objective_r(f: BellFunctional, counts: CountTable) -> float:
     """R for a joint-only functional with coefficients in the box."""
     if not f.is_joint_only:
-        raise DomainError("objective takes joint-only functionals; see absorb_into_box")
+        raise DomainError("objective takes joint-only functionals")
     if np.abs(f.joint).max() > 1.0 + 1e-12:
         raise DomainError("coefficients must lie in [-1, 1]")
     rep = error_propagation(f, counts)
@@ -286,87 +271,57 @@ def _run_gradient(model, bound_oracle, dm, s0):
     return s, r
 
 
-def _dinkelbach(model, tables, dm):
-    """Exact max of R by Dinkelbach's method; returns (s, R(s), r_upper).
+def _charnes_cooper(model, tables, dm):
+    """Exact max of R on m = d by one concave program; returns (s, R(s), r_upper).
 
-    The r_upper certificate holds for m = d only.  With N = q - dQ + dm
-    and D = C + dm, F(t) = max_s N(s) - t D(s) is
-    zero exactly at t = max R, so t <- R(argmax) climbs to it.  Each F(t)
-    is the convex program max q(s) - dQ(s) - t z + dm (1 - t) over
-    s in the box and z >= T_k s for every strategy row T_k.  The search
-    starts at t = 1, the zero functional's R, and from the block-centered
-    frequencies, away from s = 0 where dQ has no gradient.
+    With u = s + 1 >= 0, q and C = max_k T_k u both gain m^2 = dm and dQ
+    does not change, so R = (q - dQ)(u) / C(u) is constant along rays and
+    max R is max q(u) - dQ(u) subject to T u <= 1 and u >= 0 (Charnes &
+    Cooper 1962).  SLSQP solves it from the block-centered frequencies, away
+    from the block-constant u where dQ = 0 has no gradient; s = 2u/max(u) - 1
+    puts the optimal ray in the box.
+
+    q - dQ is concave and positively homogeneous, so q(u) - dQ(u) <= v.u
+    with v its gradient at s, and max R <= max{v.u : T u <= 1, u >= 0}.
+    Every u_i <= 1 on that set, so any y >= 0 bounds the LP by
+    sum(y) + sum(max(v - T^T y, 0)); y is the LP's dual, and the repair
+    term keeps solver tolerances from undercutting the bound.
     """
     n = tables.shape[1]
-    # x = (s, z); each row of lhs @ x is z - T_k s >= 0.
-    lhs = np.hstack([-tables, np.ones((tables.shape[0], 1))])
-    constraint = {"type": "ineq", "fun": lambda x: lhs @ x, "jac": lambda x: lhs}
-    bounds = [(-1.0, 1.0)] * n + [(None, None)]
+    constraint = {"type": "ineq", "fun": lambda u: 1.0 - tables @ u, "jac": lambda u: -tables}
 
-    def neg_sub(x, t):
-        q, dq, grad_q, grad_dq = model.q_dq_grads(x[:n])
-        return -(q - dq - t * x[n]), np.append(grad_dq - grad_q, t)
+    def neg_objective(u):
+        q, dq, grad_q, grad_dq = model.q_dq_grads(u)
+        return dq - q, grad_dq - grad_q
 
     centered = model.freq - model.freq.mean(axis=(2, 3), keepdims=True)
     peak = np.abs(centered).max()
-    s = (centered / peak).ravel() if peak > 0 else np.full(n, 0.5)
-    best_s, t = np.zeros(n), 1.0
-    for _ in range(_DINKELBACH_MAX_ITERS):
-        x0 = np.append(s, (tables @ s).max())
-        sol = minimize(neg_sub, x0, args=(t,), jac=True, method="SLSQP", bounds=bounds,
-                       constraints=constraint, options={"maxiter": 500, "ftol": 1e-16})
-        s = np.clip(sol.x[:n], -1.0, 1.0)
-        q, dq = model.q_dq(s)
-        c = float((tables @ s).max())
-        if q - dq + dm - t * (c + dm) <= _DINKELBACH_TOL * max(1.0, t):
-            break
-        r = r_value(q, dq, c, dm)
-        if not r > t:
-            break
-        best_s, t = s, r
-    # For m = d, N and D are positively homogeneous in u = s + 1, so R is
-    # constant along rays from the all -1 corner.  Scaled until its largest
-    # entry is 2, a ray's u has C + dm = max_k T_k u >= 2, since some row
-    # T_k covers that entry and u >= 0.  There N - t D <= F_bar, so every
-    # R <= t + F_bar / 2.
-    return best_s, t, t + max(_dual_bound(model, tables, dm, s, t), 0.0) / 2.0
-
-
-def _dual_bound(model, tables, dm, s, t):
-    """Weak-duality bound F_bar(t) >= F(t) from the supergradient of q - dQ at s.
-
-    q - dQ is concave and positively homogeneous, so q(u) - dQ(u) <= v.u
-    with v its gradient at s; max_k T_k u >= lambda.T u for lambda in the
-    simplex.  Hence F(t) <= |v - t T^T lambda|_1 + dm (1 - t), minimized
-    over lambda by one LP and re-evaluated exactly at the (clipped,
-    renormalized) LP solution, so LP tolerances cannot undercut it.
-    """
-    _, _, grad_q, grad_dq = model.q_dq_grads(s)
+    u0 = (centered / peak).ravel() + 1.0 if peak > 0 else np.ones(n)
+    # SLSQP stops only once the constraint violation is below ftol as well;
+    # rounding leaves ~1e-15 of it, and under a tighter ftol the iterates
+    # drift off the converged point until maxiter.
+    sol = minimize(neg_objective, u0 / (tables @ u0).max(), jac=True, method="SLSQP",
+                   bounds=[(0.0, None)] * n, constraints=constraint,
+                   options={"maxiter": 500, "ftol": 1e-14})
+    u = np.clip(sol.x, 0.0, None)
+    s = 2.0 * u / u.max() - 1.0
+    q, dq, grad_q, grad_dq = model.q_dq_grads(s)
     v = grad_q - grad_dq
-    k, n = tables.shape
-    tt = t * tables.T
-    eye = np.eye(n)
-    lp = linprog(
-        np.r_[np.zeros(k), np.ones(n)],
-        A_ub=np.block([[-tt, -eye], [tt, -eye]]),
-        b_ub=np.r_[-v, v],
-        A_eq=np.r_[np.ones(k), np.zeros(n)][None, :],
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * k + [(None, None)] * n,
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    lam = np.clip(lp.x[:k], 0.0, None)
-    lam /= lam.sum()
-    return float(np.abs(v - tt @ lam).sum()) + dm * (1.0 - t)
+    lp = linprog(-v, A_ub=tables, b_ub=np.ones(len(tables)), bounds=(0.0, None))
+    y = np.clip(-lp.ineqlin.marginals, 0.0, None)
+    r_upper = y.sum() + np.clip(v - tables.T @ y, 0.0, None).sum()
+    return s, r_value(q, dq, float((tables @ s).max()), dm), float(r_upper)
 
 
 def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
     """Best R in the coefficient box: exact on 2x2, restarts elsewhere.
 
-    On 2x2 counts the single candidate is the exact maximizer and the
-    result does not depend on cfg.seed.  Elsewhere restart i draws its
-    start from a generator seeded by (seed, i), so runs are reproducible
-    and a restart prefix is deterministic regardless of the total count.
+    On 2x2 counts the single candidate is the exact maximizer, found by
+    one SLSQP solve of the Charnes-Cooper program and certified by one LP,
+    and the result does not depend on cfg.seed.  Elsewhere restart i draws
+    its start from a generator seeded by (seed, i), so runs are
+    reproducible and a restart prefix is deterministic regardless of the
+    total count.
     A zero functional (R = 1 exactly) backstops both paths: a candidate
     displaces it only when its gap q - c exceeds SIGNIFICANCE_SDN error
     units, which filters the fluke violations that finite-count noise
@@ -380,11 +335,11 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     n = (sc.d * sc.m) ** 2
 
     # Exact only on 2x2 (module docstring): m > d has the pole at
-    # C + dm -> 0+, and on local 3x3 counts the exact optimum passes the
-    # uncalibrated SIGNIFICANCE_SDN gate (R = 1.0048, SDN 3.65).
+    # C + dm -> 0+ (an m^2 shift removes it but finds weaker witnesses),
+    # and on local 3x3 counts the exact optimum passes the uncalibrated
+    # SIGNIFICANCE_SDN gate (R = 1.0048, SDN 3.65).
     if (sc.m, sc.d) == (2, 2):
-        tables = _route(sc).tables_j
-        s_x, r_x, r_upper = _dinkelbach(model, tables, dm)
+        s_x, r_x, r_upper = _charnes_cooper(model, _route(sc).tables_j, dm)
         runs = [(s_x, r_x)]
     else:
         seed = cfg.seed % 2**63

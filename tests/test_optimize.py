@@ -12,10 +12,8 @@ from bellgap import (
     DomainError,
     OptimizerConfig,
     Scenario,
-    absorb_into_box,
     alpha_for_concurrence,
     error_propagation,
-    evaluate,
     lhv_bound,
     maximize_r,
     objective_r,
@@ -31,7 +29,7 @@ from bellgap.lhv import make_joint_bound_oracle, strategy_behavior
 from bellgap.lhv import DeterministicStrategy
 from bellgap.optimize import PENALTY_R, _CountModel, _sdn_signal
 
-from helpers import random_functional, random_ns_behavior
+from helpers import random_ns_behavior
 
 CHSH = Scenario(2, 2)
 DM = 4.0
@@ -53,6 +51,12 @@ ACCEPTANCE_COUNTS = {
 }
 NONLOCAL_2X2 = {"tilted": TILTED_COUNTS} | {f"c{c}": t for c, t in ACCEPTANCE_COUNTS.items()}
 ALL_2X2 = NONLOCAL_2X2 | {"uniform": UNIFORM_COUNTS, "vertex": VERTEX_COUNTS}
+# The added uniform counts are ones on which the LP's reported optimum
+# (-lp.fun) falls below the maximal R; a certificate must not take it.
+CERTIFY_2X2 = ALL_2X2 | {
+    f"uniform{seed}": poisson_sample(uniform_behavior(CHSH), 100_000, seed=seed)
+    for seed in (1024, 1228, 1019)
+}
 
 # maximize_r keeps the restart search outside 2x2, so restart semantics
 # are pinned on a 3x2 table.
@@ -103,34 +107,6 @@ class TestRValue:
     def test_penalty_below_denominator_floor(self):
         assert r_value(3.0, 0.1, -4.0, 4.0) == PENALTY_R
         assert r_value(3.0, 0.1, -4.0 + 2e-6, 4.0) != PENALTY_R
-
-
-class TestAbsorbIntoBox:
-    def test_in_box_joint_only_is_unchanged(self):
-        f = tilted_functional(0.0)
-        g, divisor = absorb_into_box(f)
-        assert divisor == 1.0
-        np.testing.assert_array_equal(g.joint, f.joint)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_result_is_joint_only_in_box_and_value_scales(self, seed):
-        rng = np.random.default_rng(800 + seed)
-        f = random_functional(CHSH, rng, scale=3.0)
-        g, divisor = absorb_into_box(f)
-        assert g.is_joint_only
-        assert np.abs(g.joint).max() <= 1.0 + 1e-15
-        assert divisor >= 1.0
-        for _ in range(5):
-            b = random_ns_behavior(CHSH, rng)
-            np.testing.assert_allclose(
-                evaluate(g, b) * divisor, evaluate(f, b), rtol=1e-12, atol=1e-12
-            )
-
-    def test_tilted_alpha_two_needs_rescaling(self):
-        g, divisor = absorb_into_box(tilted_functional(2.0))
-        # alpha/2 folds into the x = 0 rows on top of unit entries.
-        np.testing.assert_allclose(divisor, 2.0, rtol=1e-15)
-        assert np.abs(g.joint).max() == 1.0
 
 
 class TestObjectiveR:
@@ -276,13 +252,14 @@ class TestGradientEngineInternals:
 
 
 class TestExactPath:
-    """maximize_r on 2x2 counts: Dinkelbach's method with a duality certificate."""
+    """maximize_r on 2x2 counts: one Charnes-Cooper solve with an LP certificate."""
 
-    @pytest.mark.parametrize("name", ALL_2X2)
+    @pytest.mark.parametrize("name", CERTIFY_2X2)
     def test_certificate_bounds_the_result(self, name):
-        res = maximize_r(ALL_2X2[name], FAST)
-        assert res.r_upper >= res.r
+        res = maximize_r(CERTIFY_2X2[name], FAST)
         assert len(res.engine_trace) == 1
+        assert res.r_upper >= res.r
+        assert res.r_upper >= res.engine_trace[0]
 
     @pytest.mark.parametrize("name", NONLOCAL_2X2)
     def test_certificate_is_tight_on_nonlocal_data(self, name):
@@ -293,7 +270,7 @@ class TestExactPath:
     def test_weakest_acceptance_state_reaches_the_optimum(self):
         # The 200-restart search stopped at R = 1.002612 (SDN 14.3) here.
         res = maximize_r(ACCEPTANCE_COUNTS[0.193], FAST)
-        np.testing.assert_allclose(res.r, 1.004680, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(res.r, 1.004679685115, rtol=0, atol=1e-9)
         assert res.sdn > 17.0
 
     def test_dominates_seeded_gradient_runs(self):
@@ -350,6 +327,7 @@ class TestRelabelingInvariance:
         base = maximize_r(counts, FAST)
         moved = maximize_r(CountTable(CHSH, relabel(counts.c)), FAST)
         np.testing.assert_allclose(moved.r, base.r, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(moved.r_upper, base.r_upper, rtol=0, atol=1e-9)
         assert moved.is_nonlocal == base.is_nonlocal
         # On local data r is the baseline 1 either way; the optimum before
         # the significance gate must not move either.
