@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -238,7 +239,9 @@ def cmd_report(args) -> None:
         print(f"wrote {csv_path}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bellgap",
         description="Bell-inequality search and detection-efficiency analysis "

@@ -30,8 +30,8 @@ def write_json(path, payload: dict) -> None:
 
 def read_json(path) -> dict:
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .core import BellFunctional, _is_integer
 from .errors import DegenerateObjectiveError, DomainError
@@ -167,18 +166,24 @@ class _CountModel:
         self.freq_flat = self.freq.ravel()
         self.counts = counts.c.astype(float)
 
+    def propagate(self, s_flat: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """(q, dq, the coefficients centered on their block means) of one propagation."""
+        centered, _, dq = propagate(s_flat.reshape(self.shape), self.freq, self.totals, self.counts)
+        return float(self.freq_flat @ s_flat), dq, centered
+
+    def grad_dq(self, centered: np.ndarray, dq: float) -> np.ndarray:
+        """Gradient of dq from propagate's parts; zeroed at dq ~ 0."""
+        if dq < _DQ_GRAD_FLOOR:
+            return np.zeros(self.freq_flat.size)
+        return (self.freq * centered / self.totals[:, :, None, None]).ravel() / dq
+
     def q_dq(self, s_flat: np.ndarray) -> tuple[float, float]:
-        _, _, dq = propagate(s_flat.reshape(self.shape), self.freq, self.totals, self.counts)
-        return float(self.freq_flat @ s_flat), dq
+        return self.propagate(s_flat)[:2]
 
     def q_dq_grads(self, s_flat: np.ndarray):
-        """(q, dq, grad of q, grad of dq); the dq gradient is zeroed at dq ~ 0."""
-        centered, _, dq = propagate(s_flat.reshape(self.shape), self.freq, self.totals, self.counts)
-        if dq < _DQ_GRAD_FLOOR:
-            grad_dq = np.zeros_like(s_flat)
-        else:
-            grad_dq = (self.freq * centered / self.totals[:, :, None, None]).ravel() / dq
-        return float(self.freq_flat @ s_flat), dq, self.freq_flat, grad_dq
+        """(q, dq, grad of q, grad of dq)."""
+        q, dq, centered = self.propagate(s_flat)
+        return q, dq, self.freq_flat, self.grad_dq(centered, dq)
 
 
 def _run_gradient(model, bound_oracle, dm, s0):
@@ -191,34 +196,34 @@ def _run_gradient(model, bound_oracle, dm, s0):
     log-sum-exp softening down to the exact objective, followed by
     accept-only polishing and corner probes that resolve the flat ridges
     left near the box boundary.
+
+    Each point is scored once: one propagation and one oracle call give R
+    and the parts of its gradient, the ascent keeps them for the point it
+    accepts, and the corner probes skip points they have scored before.
     """
 
-    def r_of(s, tau=0.0):
-        q, dq = model.q_dq(s)
-        c, _ = bound_oracle(s, tau)
-        return r_value(q, dq, c, dm)
-
-    def r_grad(s, tau=0.0):
-        q, dq, grad_q, grad_dq = model.q_dq_grads(s)
+    def score(s, tau):
+        """(R, parts of its gradient) at s; the parts are None at the penalty."""
+        q, dq, centered = model.propagate(s)
         c, grad_c = bound_oracle(s, tau)
         den = c + dm
         if den < _DENOM_FLOOR:
             return PENALTY_R, None
         num = q - dq + dm
-        return num / den, (grad_q - grad_dq) / den - (num / den**2) * grad_c
+        return num / den, (centered, dq, num, den, grad_c)
 
-    def ascend(s, tau, max_iters, tol):
-        """Backtracking ascent accepting only improving steps."""
-        r = r_of(s, tau)
+    def ascend(s, r, parts, tau, max_iters, tol):
+        """Backtracking ascent from the scored point s, accepting only improving steps."""
         step = _STEP_INIT
         for _ in range(max_iters):
-            _, grad = r_grad(s, tau)
-            if grad is None:
-                return s, r
+            if parts is None:
+                break
+            centered, dq, num, den, grad_c = parts
+            grad = (model.freq_flat - model.grad_dq(centered, dq)) / den - (num / den**2) * grad_c
             improved = False
             while step >= _MIN_STEP:
-                cand = np.clip(s + step * grad, -1.0, 1.0)
-                r_cand = r_of(cand, tau)
+                cand = np.minimum(np.maximum(s + step * grad, -1.0), 1.0)
+                r_cand, parts_cand = score(cand, tau)
                 if r_cand > r:
                     improved = True
                     break
@@ -226,34 +231,45 @@ def _run_gradient(model, bound_oracle, dm, s0):
             if not improved:
                 break
             gain = r_cand - r
-            s, r = cand, r_cand
+            s, r, parts = cand, r_cand, parts_cand
             step = min(step * 2.0, 1.0)
             if gain < tol:
                 break
-        return s, r
+        return s, r, parts
 
     s = np.asarray(s0, dtype=float)
-    if r_of(s) <= PENALTY_R:
+    if score(s, 0.0)[0] <= PENALTY_R:
         return s, PENALTY_R
 
     tau = _TAU_INIT
     while tau > _TAU_FLOOR:
-        s, _ = ascend(s, tau, min(300, _MAX_ITERS), 0.1 * _CONVERGENCE_TOL)
+        s, _, _ = ascend(s, *score(s, tau), tau, min(300, _MAX_ITERS), 0.1 * _CONVERGENCE_TOL)
         tau *= _TAU_DECAY
-    s, r = ascend(s, 0.0, _MAX_ITERS, 1e-3 * _CONVERGENCE_TOL)
+    s, r, parts = ascend(s, *score(s, 0.0), 0.0, _MAX_ITERS, 1e-3 * _CONVERGENCE_TOL)
 
     # Flat ridges often end at box corners; probe full and near-wall sign
-    # snaps plus single-coordinate pushes, re-polishing after any gain.
+    # snaps plus single-coordinate pushes, re-polishing after any gain.  R
+    # only rises from here on, so no point probed or held before can win.
+    probed = set()
+
+    def probe(cand, r):
+        """(R, parts) of cand if it was not probed before and beats r, else None."""
+        key = cand.tobytes()
+        if key not in probed:
+            probed.add(key)
+            r_cand, parts_cand = score(cand, 0.0)
+            return (r_cand, parts_cand) if r_cand > r else None
+
     for _ in range(6):
         changed = False
+        probed.add(s.tobytes())
         snaps = [
             np.sign(s) + (s == 0.0),
             np.where(np.abs(np.abs(s) - 1.0) < 1e-6, np.sign(s), s),
         ]
         for cand in snaps:
-            r_cand = r_of(cand)
-            if r_cand > r:
-                s, r = cand.copy(), r_cand
+            if hit := probe(cand, r):
+                s, (r, parts) = cand.copy(), hit
                 changed = True
         for i in range(s.size):
             for wall in (-1.0, 1.0):
@@ -261,13 +277,12 @@ def _run_gradient(model, bound_oracle, dm, s0):
                     continue
                 cand = s.copy()
                 cand[i] = wall
-                r_cand = r_of(cand)
-                if r_cand > r:
-                    s, r = cand, r_cand
+                if hit := probe(cand, r):
+                    s, (r, parts) = cand, hit
                     changed = True
         if not changed:
             break
-        s, r = ascend(s, 0.0, min(500, _MAX_ITERS), 1e-3 * _CONVERGENCE_TOL)
+        s, r, parts = ascend(s, r, parts, 0.0, min(500, _MAX_ITERS), 1e-3 * _CONVERGENCE_TOL)
     return s, r
 
 
@@ -287,6 +302,7 @@ def _charnes_cooper(model, tables, dm):
     sum(y) + sum(max(v - T^T y, 0)); y is the LP's dual, and the repair
     term keeps solver tolerances from undercutting the bound.
     """
+    from scipy.optimize import linprog, minimize  # here, so importing bellgap loads no scipy
     n = tables.shape[1]
     constraint = {"type": "ineq", "fun": lambda u: 1.0 - tables @ u, "jac": lambda u: -tables}
 

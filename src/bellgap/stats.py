@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .core import (
     Behavior, BellFunctional, Scenario, INGEST_TOL, _folded_joint, _is_integer, ns_residual,
@@ -207,6 +206,7 @@ def _center(p: np.ndarray, w: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) ->
     above its minimum.  An exactly singular KKT matrix raises
     ConvergenceError.
     """
+    from scipy.linalg.lapack import dgesv  # here, so importing bellgap loads no scipy
     n = p.size
     kkt = np.zeros((n + b_eq.size, n + b_eq.size))
     kkt[:n, n:] = a_eq.T

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line pipeline, run in-process via main()."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,13 @@ class TestBound:
         io.write_json(path, payload)
         assert main(["bound", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+
+    def test_binary_file_is_a_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+        assert main(["bound", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -307,3 +318,27 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    def test_parser_is_reused_unchanged(self, data_dir, capsys):
+        # One parser serves every call in a process; an argparse error exit
+        # or another subcommand in between must not change a later result.
+        argv = ["bound", str(data_dir / "tilted_functional.json")]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            main(["bound"])
+        assert info.value.code == 2
+        assert main(["evaluate", str(data_dir / "tilted_functional.json"),
+                     str(data_dir / "tilted_counts.json")]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert build_parser() is build_parser()
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported where it is used, so the CLI starts without it.
+        code = "import sys, bellgap.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.strip() == "[]"

@@ -90,6 +90,12 @@ class TestSchemaGates:
         with pytest.raises(SchemaError):
             io.read_json(path)
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            io.read_json(path)
+
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]\n")

@@ -24,6 +24,7 @@ from bellgap import (
     tilted_functional,
     uniform_behavior,
 )
+from bellgap import lhv as lhv_module
 from bellgap import optimize as optimize_module
 from bellgap.lhv import make_joint_bound_oracle, strategy_behavior
 from bellgap.lhv import DeterministicStrategy
@@ -249,6 +250,36 @@ class TestGradientEngineInternals:
         s, r = optimize_module._run_gradient(model, oracle, DM, rng.uniform(-1, 1, 16))
         assert np.abs(s).max() <= 1.0
         assert r > PENALTY_R
+
+    @pytest.mark.parametrize("route", ["_MatrixRoute", "_ResponseRoute"])
+    def test_multisetting_run_stays_in_the_box_and_reports_its_exact_r(self, monkeypatch, route):
+        sc = MULTI_COUNTS.scenario
+        if route == "_ResponseRoute":
+            monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
+        assert isinstance(lhv_module._route(sc), getattr(lhv_module, route))
+        model = _CountModel(MULTI_COUNTS)
+        oracle = make_joint_bound_oracle(sc)
+        s0 = np.random.default_rng(17).uniform(-1.0, 1.0, 36)
+        s, r = optimize_module._run_gradient(model, oracle, 6, s0)
+        assert np.abs(s).max() <= 1.0
+        assert r == r_value(*model.q_dq(s), oracle(s, 0.0)[0], 6)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_no_point_is_scored_twice(self, seed):
+        # The ascent keeps the parts of R's gradient for the point it
+        # accepts, and the corner probes skip points already scored.
+        sc = MULTI_COUNTS.scenario
+        oracle = make_joint_bound_oracle(sc)
+        scored = []
+
+        def recording_oracle(s, tau=0.0):
+            scored.append((s.tobytes(), tau))
+            return oracle(s, tau)
+
+        s0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 36)
+        optimize_module._run_gradient(_CountModel(MULTI_COUNTS), recording_oracle, 6, s0)
+        assert len(scored) > 1000
+        assert len(set(scored)) == len(scored)
 
 
 class TestExactPath:

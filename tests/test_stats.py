@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.optimize import linprog
 
 from bellgap import (
@@ -303,7 +304,7 @@ class TestNsProject:
 
     def test_singular_kkt_system_is_a_convergence_error(self, monkeypatch):
         f = signaling_behavior(CHSH, np.random.default_rng(8))
-        monkeypatch.setattr(stats_module, "dgesv", lambda a, b: (a, None, b, 1))
+        monkeypatch.setattr(scipy.linalg.lapack, "dgesv", lambda a, b: (a, None, b, 1))
         with pytest.raises(ConvergenceError, match="singular"):
             ns_project(f)
 
