@@ -29,7 +29,7 @@ from . import __version__, io
 from .errors import DomainError, NumericalError, SchemaError, ValidationError
 from .lhv import lhv_bound
 from .loophole import EFFICIENCY_MODES, canonicalize, critical_efficiency
-from .optimize import OptimizerConfig, _sdn_signal, maximize_r, r_value
+from .optimize import OptimizerConfig, maximize_r, r_value, sdn
 from .quantum import born_behavior, concurrence, tilted_functional, tilted_realization
 from .stats import error_propagation, frequencies, kl_divergence, ns_project, poisson_sample
 
@@ -94,7 +94,6 @@ def _report_payload(counts_path, counts, result, cfg: OptimizerConfig) -> dict:
         "functionals": [block],
         "optimizer_config": asdict(cfg),
         "efficiencies": _efficiency_blocks("optimized", result.functional, frequencies(counts)),
-        "deviations": [],
     }
 
 
@@ -149,7 +148,7 @@ def cmd_evaluate(args) -> None:
     c = lhv_bound(f).bound
     print(f"Q = {_fmt(rep.q)}")
     print(f"dQ = {_fmt(rep.delta_q)}")
-    print(f"SDN = {_fmt(_sdn_signal(rep.q, rep.delta_q, c))}")
+    print(f"SDN = {_fmt(sdn(rep.q, rep.delta_q, c))}")
 
 
 def cmd_project(args) -> None:
@@ -206,7 +205,7 @@ def cmd_report(args) -> None:
 
         tilted = tilted_functional(alpha)
         rep = error_propagation(tilted, counts)
-        sdn_tilted = _sdn_signal(rep.q, rep.delta_q, lhv_bound(tilted).bound)
+        sdn_tilted = sdn(rep.q, rep.delta_q, lhv_bound(tilted).bound)
         result = maximize_r(counts, cfg)
 
         behavior = frequencies(counts)

@@ -10,8 +10,8 @@ scenarios precompute the full strategy-table matrix, larger ones
 enumerate Alice's assignments and exploit that Bob's best response
 decomposes per setting.  Both enumerate in lexicographic order on
 (assign_a, assign_b).  One cached enumerator per scenario picks the route;
-the bound, its maximizers, the subgradient and the optimizer's bound
-oracle all go through it.
+the bound, its maximizers and the optimizer's bound oracle all go through
+it.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class LhvResult:
 def _assignment_array(m: int, d: int) -> np.ndarray:
     """All d^m outcome assignments, lexicographic, shape (d^m, m)."""
     arr = np.array(list(itertools.product(range(d), repeat=m)), dtype=np.intp)
-    arr = arr.reshape(d**m, m)
     arr.setflags(write=False)
     return arr
 
@@ -199,18 +198,6 @@ def lhv_bound(functional: BellFunctional) -> LhvResult:
     route = _route(functional.scenario)
     bound, maximizers = route.maximizers(_folded_joint(functional).ravel())
     return LhvResult(bound, tuple(maximizers))
-
-
-def lhv_subgradient(functional: BellFunctional) -> np.ndarray:
-    """Joint table of the lexicographically first maximizer.
-
-    The LHV bound is a maximum of finitely many linear functions of the
-    coefficients, so any maximizer's joint table is a subgradient with
-    respect to the joint block; the lexicographic tie-break makes the
-    choice deterministic.
-    """
-    _, table = _route(functional.scenario).best(_folded_joint(functional).ravel())
-    return table.reshape(functional.scenario.joint_shape).copy()
 
 
 def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> Behavior:

@@ -115,11 +115,6 @@ def canonicalize(f: BellFunctional, normalize: float = 1.0) -> CanonicalFunction
     the offset stays unscaled so the reconstruction identity holds as
     written on the canonical form.
     """
-    sc = f.scenario
-    if sc.d != 2:
-        raise UnsupportedScenarioError(
-            f"canonical form requires two outcomes, got d={sc.d}"
-        )
     if not (math.isfinite(normalize) and normalize > 0):
         raise DomainError(f"normalize must be positive and finite, got {normalize!r}")
     s = f.joint
@@ -136,7 +131,7 @@ def canonicalize(f: BellFunctional, normalize: float = 1.0) -> CanonicalFunction
     )
     offset = s[:, :, 1, 1].sum() + f.marginal_a[:, 1].sum() + f.marginal_b[:, 1].sum()
     return CanonicalFunctional(
-        sc,
+        f.scenario,
         joint0 / normalize,
         marg_a0 / normalize,
         marg_b0 / normalize,

@@ -122,14 +122,9 @@ class OptimizationResult:
 
 
 def sdn(q: float, delta_q: float, c: float) -> float:
-    """Standard-deviation number (q - c)/delta_q: the gap in units of error."""
-    if not delta_q > 0:
-        raise DomainError(f"delta_q must be positive, got {delta_q!r}")
-    return (q - c) / delta_q
-
-
-def _sdn_signal(q: float, delta_q: float, c: float) -> float:
-    """sdn extended to delta_q = 0 by a signed infinity signal."""
+    """Standard-deviation number (q - c)/delta_q; +inf, -inf or 0 by sign(q - c) at delta_q = 0."""
+    if not delta_q >= 0:
+        raise DomainError(f"delta_q must be nonnegative, got {delta_q!r}")
     if delta_q > 0:
         return (q - c) / delta_q
     if q > c:
@@ -176,14 +171,6 @@ class _CountModel:
         if dq < _DQ_GRAD_FLOOR:
             return np.zeros(self.freq_flat.size)
         return (self.freq * centered / self.totals[:, :, None, None]).ravel() / dq
-
-    def q_dq(self, s_flat: np.ndarray) -> tuple[float, float]:
-        return self.propagate(s_flat)[:2]
-
-    def q_dq_grads(self, s_flat: np.ndarray):
-        """(q, dq, grad of q, grad of dq)."""
-        q, dq, centered = self.propagate(s_flat)
-        return q, dq, self.freq_flat, self.grad_dq(centered, dq)
 
 
 def _run_gradient(model, bound_oracle, dm, s0):
@@ -243,7 +230,7 @@ def _run_gradient(model, bound_oracle, dm, s0):
 
     tau = _TAU_INIT
     while tau > _TAU_FLOOR:
-        s, _, _ = ascend(s, *score(s, tau), tau, min(300, _MAX_ITERS), 0.1 * _CONVERGENCE_TOL)
+        s, _, _ = ascend(s, *score(s, tau), tau, 300, 0.1 * _CONVERGENCE_TOL)
         tau *= _TAU_DECAY
     s, r, parts = ascend(s, *score(s, 0.0), 0.0, _MAX_ITERS, 1e-3 * _CONVERGENCE_TOL)
 
@@ -282,7 +269,7 @@ def _run_gradient(model, bound_oracle, dm, s0):
                     changed = True
         if not changed:
             break
-        s, r, parts = ascend(s, r, parts, 0.0, min(500, _MAX_ITERS), 1e-3 * _CONVERGENCE_TOL)
+        s, r, parts = ascend(s, r, parts, 0.0, 500, 1e-3 * _CONVERGENCE_TOL)
     return s, r
 
 
@@ -307,8 +294,8 @@ def _charnes_cooper(model, tables, dm):
     constraint = {"type": "ineq", "fun": lambda u: 1.0 - tables @ u, "jac": lambda u: -tables}
 
     def neg_objective(u):
-        q, dq, grad_q, grad_dq = model.q_dq_grads(u)
-        return dq - q, grad_dq - grad_q
+        q, dq, centered = model.propagate(u)
+        return dq - q, model.grad_dq(centered, dq) - model.freq_flat
 
     centered = model.freq - model.freq.mean(axis=(2, 3), keepdims=True)
     peak = np.abs(centered).max()
@@ -321,8 +308,8 @@ def _charnes_cooper(model, tables, dm):
                    options={"maxiter": 500, "ftol": 1e-14})
     u = np.clip(sol.x, 0.0, None)
     s = 2.0 * u / u.max() - 1.0
-    q, dq, grad_q, grad_dq = model.q_dq_grads(s)
-    v = grad_q - grad_dq
+    q, dq, centered = model.propagate(s)
+    v = model.freq_flat - model.grad_dq(centered, dq)
     lp = linprog(-v, A_ub=tables, b_ub=np.ones(len(tables)), bounds=(0.0, None))
     y = np.clip(-lp.ineqlin.marginals, 0.0, None)
     r_upper = y.sum() + np.clip(v - tables.T @ y, 0.0, None).sum()
@@ -374,7 +361,7 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
         trace.append(float(r_i))
         if r_i <= PENALTY_R:
             continue
-        q_i, dq_i = model.q_dq(s_i)
+        q_i, dq_i, _ = model.propagate(s_i)
         c_i, _ = bound_oracle(s_i)
         r_i = r_value(q_i, dq_i, c_i, dm)
         significant = q_i - c_i > SIGNIFICANCE_SDN * dq_i and r_i > 1.0 + _BASELINE_MARGIN
@@ -399,7 +386,7 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
         q=rep.q,
         delta_q=rep.delta_q,
         c=c,
-        sdn=_sdn_signal(rep.q, rep.delta_q, c),
+        sdn=sdn(rep.q, rep.delta_q, c),
         is_nonlocal=r > 1.0,
         engine_trace=tuple(trace),
         # r is attained in the box, so the max only absorbs rounding

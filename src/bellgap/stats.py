@@ -50,6 +50,9 @@ _NEWTON_TOL = 1e-12
 # that the KKT matrix became exactly singular on some sparse samples.
 _BARRIER_WEIGHTS = (1e-2, 1e-5, 1e-8, 1e-11, 1e-14)
 
+# Frequencies divide by block totals in float64, which is exact up to 2**53.
+_MAX_COUNT = 2**53
+
 
 @dataclass(frozen=True, eq=False)
 class CountTable:
@@ -68,7 +71,11 @@ class CountTable:
             raise DomainError("c: counts must be finite")
         if np.any(c != np.floor(c)) or c.min() < 0:
             raise DomainError("c: counts must be nonnegative integers")
+        if c.max() > _MAX_COUNT:
+            raise DomainError(f"c: a count exceeds 2**53 = {_MAX_COUNT}")
         c = c.astype(np.int64)
+        if c.sum(axis=(2, 3), dtype=object).max() > _MAX_COUNT:  # exact: int64 could wrap
+            raise DomainError(f"c: a block total exceeds 2**53 = {_MAX_COUNT}")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 

@@ -39,7 +39,7 @@ from bellgap import (
 )
 from bellgap.cli import main
 from bellgap.lhv import DeterministicStrategy
-from bellgap.optimize import _sdn_signal
+from bellgap.optimize import sdn
 
 from helpers import random_functional, random_ns_behavior, signaling_behavior
 
@@ -69,7 +69,7 @@ def concurrence_series():
         counts = poisson_sample(behavior, N_PER_SETTING, seed=DATA_SEED)
         tilted = tilted_functional(alpha)
         rep = error_propagation(tilted, counts)
-        sdn_tilted = _sdn_signal(rep.q, rep.delta_q, lhv_bound(tilted).bound)
+        sdn_tilted = sdn(rep.q, rep.delta_q, lhv_bound(tilted).bound)
         result = maximize_r(counts, SEARCH_CFG)
         rows.append(
             SimpleNamespace(

@@ -128,7 +128,7 @@ class TestEvaluate:
         q_line, dq_line, sdn_line = capsys.readouterr().out.splitlines()
         assert value_of(q_line) == 0.0
         assert value_of(dq_line) == 0.0
-        assert value_of(sdn_line) == 0.0
+        assert sdn_line == "SDN = 0"
 
     def test_schema_error_exit_code(self, data_dir, tmp_path):
         bad = tmp_path / "bad.json"
@@ -145,6 +145,16 @@ class TestProject:
         assert value_of(d_line) >= 0.0
         assert ns_residual(io.read_behavior(out)).max <= 1e-8
 
+    @pytest.mark.parametrize("count, message", [(1e300, "a count"), (2**52, "a block total")])
+    def test_counts_beyond_exact_floats_are_rejected(self, tmp_path, capsys, count, message):
+        counts = np.ones(CHSH.joint_shape)
+        counts[0, 0] = count
+        path = tmp_path / "huge.json"
+        io.write_json(path, {"format_version": 1, "kind": "counts", "m": 2, "d": 2,
+                             "counts": counts.tolist()})
+        assert main(["project", str(path), "--out", str(tmp_path / "p.json")]) == 2
+        assert f"{message} exceeds 2**53" in capsys.readouterr().err
+
 
 class TestOptimize:
     def run(self, data_dir, out, extra=()):
@@ -159,6 +169,10 @@ class TestOptimize:
         assert lines[1] == "nonlocal = true"
 
         payload = io.read_json(out)
+        assert set(payload) == {
+            "format_version", "kind", "artifact_version", "input_digest", "m", "d",
+            "functionals", "optimizer_config", "efficiencies",
+        }
         assert payload["kind"] == "report"
         assert payload["input_digest"] == io.file_digest(data_dir / "tilted_counts.json")
         block = payload["functionals"][0]

@@ -12,9 +12,9 @@ from bellgap import (
     DomainError,
     Scenario,
     ShapeMismatchError,
+    absorb_marginals,
     evaluate,
     lhv_bound,
-    lhv_subgradient,
     make_joint_bound_oracle,
     strategy_behavior,
     tilted_functional,
@@ -34,6 +34,12 @@ ROUTE_SCENARIOS = (CHSH, Scenario(3, 2), Scenario(4, 2), Scenario(3, 3))
 
 # 3^8 strategy pairs: the matrix route covers 4x3 only with the limit raised.
 FULL_MATRIX_LIMIT = 6561
+
+
+def first_maximizer_table(f: BellFunctional) -> np.ndarray:
+    """The tau = 0 oracle gradient at f's folded joint table, shaped like it."""
+    oracle = make_joint_bound_oracle(f.scenario)
+    return oracle(absorb_marginals(f).joint.ravel(), 0.0)[1].reshape(f.scenario.joint_shape)
 
 
 def brute_force_bound(f: BellFunctional) -> float:
@@ -184,10 +190,10 @@ class TestBestResponsePath:
         rng = np.random.default_rng(321)
         fs = [random_functional(sc, rng, with_marginals=False) for sc in ROUTE_SCENARIOS]
         fs += [random_functional(sc, rng) for sc in ROUTE_SCENARIOS]
-        via_matrix = [lhv_subgradient(f) for f in fs]
+        via_matrix = [first_maximizer_table(f) for f in fs]
         monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
         for f, ref in zip(fs, via_matrix):
-            np.testing.assert_array_equal(lhv_subgradient(f), ref, err_msg=str(f.scenario))
+            np.testing.assert_array_equal(first_maximizer_table(f), ref, err_msg=str(f.scenario))
 
 
 def _relabeled(f: BellFunctional, kind: str, rng) -> BellFunctional:
@@ -240,7 +246,7 @@ class TestSubgradient:
     def test_is_table_of_a_maximizer(self, seed):
         rng = np.random.default_rng(400 + seed)
         f = random_functional(CHSH, rng)
-        g = lhv_subgradient(f)
+        g = first_maximizer_table(f)
         assert set(np.unique(g)) <= {0.0, 1.0}
         assert g.sum() == f.scenario.m**2
         # Recover the strategy from the one-hot table and check membership.
@@ -255,13 +261,8 @@ class TestSubgradient:
     def test_supports_the_bound_for_joint_only_functionals(self):
         rng = np.random.default_rng(55)
         f = random_functional(CHSH, rng, with_marginals=False)
-        g = lhv_subgradient(f)
+        g = first_maximizer_table(f)
         np.testing.assert_allclose(np.vdot(g, f.joint), lhv_bound(f).bound, rtol=1e-13)
-
-    def test_returns_writable_copy(self):
-        f = random_functional(CHSH, np.random.default_rng(9))
-        g = lhv_subgradient(f)
-        g[0, 0, 0, 0] = 0.5  # must not raise
 
 
 class TestStrategyBehavior:
@@ -307,7 +308,23 @@ class TestJointBoundOracle:
         bound, grad = oracle(s, 0.0)
         f = BellFunctional(CHSH, s.reshape(CHSH.joint_shape))
         np.testing.assert_allclose(bound, lhv_bound(f).bound, rtol=1e-13)
-        np.testing.assert_array_equal(grad.reshape(CHSH.joint_shape), lhv_subgradient(f))
+        first = strategy_behavior(lhv_bound(f).maximizers[0], CHSH)
+        np.testing.assert_array_equal(grad.reshape(CHSH.joint_shape), first.p)
+
+    @pytest.mark.parametrize("route", ["_MatrixRoute", "_ResponseRoute"])
+    def test_tau_zero_gradient_is_the_first_maximizer(self, route, monkeypatch):
+        # The reference of the subgradient table and route-agreement tests.
+        if route == "_ResponseRoute":
+            monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
+        rng = np.random.default_rng(510)
+        for sc in ROUTE_SCENARIOS:
+            assert isinstance(lhv_module._route(sc), getattr(lhv_module, route))
+            for _ in range(3):
+                f = absorb_marginals(random_functional(sc, rng))
+                _, grad = make_joint_bound_oracle(sc)(f.joint.ravel(), 0.0)
+                first = strategy_behavior(lhv_bound(f).maximizers[0], sc)
+                np.testing.assert_array_equal(grad.reshape(sc.joint_shape), first.p,
+                                              err_msg=str(sc))
 
     @pytest.mark.parametrize("tau", [1e-3, 0.1, 1.0])
     def test_smoothing_brackets_the_exact_bound(self, tau):

@@ -28,7 +28,7 @@ from bellgap import lhv as lhv_module
 from bellgap import optimize as optimize_module
 from bellgap.lhv import make_joint_bound_oracle, strategy_behavior
 from bellgap.lhv import DeterministicStrategy
-from bellgap.optimize import PENALTY_R, _CountModel, _sdn_signal
+from bellgap.optimize import PENALTY_R, _CountModel
 
 from helpers import random_ns_behavior
 
@@ -90,15 +90,26 @@ class TestSdn:
     def test_gap_in_error_units(self):
         np.testing.assert_allclose(sdn(4.0, 0.5, 2.0), 4.0, rtol=0)
 
-    def test_zero_error_rejected(self):
-        with pytest.raises(DomainError):
-            sdn(4.0, 0.0, 2.0)
-
     def test_signal_variant_extends_to_zero_error(self):
-        assert _sdn_signal(3.0, 0.0, 2.0) == math.inf
-        assert _sdn_signal(1.0, 0.0, 2.0) == -math.inf
-        assert _sdn_signal(2.0, 0.0, 2.0) == 0.0
-        np.testing.assert_allclose(_sdn_signal(4.0, 0.5, 2.0), 4.0, rtol=0)
+        assert sdn(3.0, 0.0, 2.0) == math.inf
+        assert sdn(1.0, 0.0, 2.0) == -math.inf
+        assert sdn(2.0, 0.0, 2.0) == 0.0
+        np.testing.assert_allclose(sdn(4.0, 0.5, 2.0), 4.0, rtol=0)
+
+    @pytest.mark.parametrize("q, delta_q, expect", [
+        (4.0, 0.5, 4.0),
+        (3.0, 0.0, math.inf),
+        (1.0, 0.0, -math.inf),
+        (2.0, 0.0, 0.0),
+        (4.0, -1.0, DomainError),
+        (4.0, math.nan, DomainError),
+    ])
+    def test_gap_signal_and_domain(self, q, delta_q, expect):
+        if expect is DomainError:
+            with pytest.raises(DomainError, match="delta_q"):
+                sdn(q, delta_q, 2.0)
+        else:
+            assert sdn(q, delta_q, 2.0) == expect
 
 
 class TestRValue:
@@ -136,7 +147,7 @@ class TestCountModel:
         rng = np.random.default_rng(14)
         s = rng.uniform(-1.0, 1.0, 16)
         model = _CountModel(TILTED_COUNTS)
-        q, dq = model.q_dq(s)
+        q, dq, _ = model.propagate(s)
         rep = error_propagation(
             BellFunctional(CHSH, s.reshape(CHSH.joint_shape)), TILTED_COUNTS
         )
@@ -147,21 +158,22 @@ class TestCountModel:
         rng = np.random.default_rng(15)
         s = rng.uniform(-1.0, 1.0, 16)
         model = _CountModel(TILTED_COUNTS)
-        q0, dq0, grad_q, grad_dq = model.q_dq_grads(s)
+        _, dq0, centered = model.propagate(s)
+        grad_q, grad_dq = model.freq_flat, model.grad_dq(centered, dq0)
         h = 1e-7
         for k in range(0, 16, 3):
             e = np.zeros(16)
             e[k] = h
-            q_up, dq_up = model.q_dq(s + e)
-            q_dn, dq_dn = model.q_dq(s - e)
+            q_up, dq_up, _ = model.propagate(s + e)
+            q_dn, dq_dn, _ = model.propagate(s - e)
             np.testing.assert_allclose(grad_q[k], (q_up - q_dn) / (2 * h), atol=1e-8)
             np.testing.assert_allclose(grad_dq[k], (dq_up - dq_dn) / (2 * h), atol=1e-6)
 
     def test_dq_gradient_is_zeroed_at_the_kink(self):
         model = _CountModel(TILTED_COUNTS)
-        _, dq, _, grad_dq = model.q_dq_grads(np.zeros(16))
+        _, dq, centered = model.propagate(np.zeros(16))
         assert dq == 0.0
-        np.testing.assert_array_equal(grad_dq, np.zeros(16))
+        np.testing.assert_array_equal(model.grad_dq(centered, dq), np.zeros(16))
 
 
 class TestMaximizeR:
@@ -262,7 +274,7 @@ class TestGradientEngineInternals:
         s0 = np.random.default_rng(17).uniform(-1.0, 1.0, 36)
         s, r = optimize_module._run_gradient(model, oracle, 6, s0)
         assert np.abs(s).max() <= 1.0
-        assert r == r_value(*model.q_dq(s), oracle(s, 0.0)[0], 6)
+        assert r == r_value(*model.propagate(s)[:2], oracle(s, 0.0)[0], 6)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_no_point_is_scored_twice(self, seed):

@@ -94,12 +94,26 @@ class TestCountTable:
         with pytest.raises(ShapeMismatchError):
             CountTable(CHSH, np.zeros((2, 2, 2)))
 
-    @pytest.mark.parametrize("bad", [-1, 2.5, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [-1, 2.5, np.nan, np.inf, 1e300])
     def test_rejects_non_counts(self, bad):
         c = np.ones(CHSH.joint_shape)
         c[0, 0, 0, 0] = bad
         with pytest.raises(DomainError):
             CountTable(CHSH, c)
+
+    @pytest.mark.parametrize("count", [4 * 10**18, 2**52])
+    def test_rejects_blocks_beyond_exact_float_totals(self, count):
+        # Four counts of 4e18 sum past int64 to a negative total; four of
+        # 2**52 fit int64 but total 2**54, beyond float64's exact integers.
+        c = np.ones(CHSH.joint_shape, dtype=np.int64)
+        c[0, 0] = count
+        with pytest.raises(DomainError, match=r"2\*\*53"):
+            CountTable(CHSH, c)
+
+    def test_largest_exact_block_total_accepted(self):
+        c = np.zeros(CHSH.joint_shape, dtype=np.int64)
+        c[..., 0, 0] = 2**53
+        np.testing.assert_array_equal(CountTable(CHSH, c).block_totals(), np.full((2, 2), 2**53))
 
     def test_block_totals(self):
         c = np.arange(16).reshape(CHSH.joint_shape)
