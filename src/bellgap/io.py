@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Behavior, BellFunctional, Scenario, _is_integer
 from .errors import SchemaError
-from .stats import CountTable
+from .stats import _MAX_COUNT, CountTable
 
 FORMAT_VERSION = 1
 
@@ -106,7 +106,17 @@ def counts_from_payload(payload: dict) -> tuple[CountTable, dict]:
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
         raise SchemaError("field 'meta' must be an object")
-    return CountTable(sc, _array_of(payload, "counts")), meta
+    counts = _array_of(payload, "counts")
+    # float64 rounds integers above 2**53 (9007199254740993 reads as
+    # ...992), so counts that reach it are compared as the JSON numbers.
+    if (counts >= _MAX_COUNT).any():
+        try:
+            too_large = (np.asarray(payload["counts"], dtype=object) > _MAX_COUNT).any()
+        except TypeError as exc:  # numpy parses numeric strings; Python does not compare them
+            raise SchemaError("field 'counts' is not a rectangular numeric array") from exc
+        if too_large:
+            raise SchemaError(f"field 'counts': a count exceeds 2**53 = {_MAX_COUNT}")
+    return CountTable(sc, counts), meta
 
 
 def functional_to_payload(f: BellFunctional) -> dict:

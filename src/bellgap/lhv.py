@@ -90,10 +90,10 @@ class _MatrixRoute:
         self.tables_j.setflags(write=False)
 
     def best(self, joint):
-        """(bound, flat joint table of the lexicographically first maximizer)."""
+        """(bound, callable giving the flat joint table of the lexicographically first maximizer)."""
         scores = self.tables_j @ joint
         k = int(np.argmax(scores))
-        return float(scores[k]), self.tables_j[k]
+        return float(scores[k]), lambda: self.tables_j[k]
 
     def maximizers(self, joint):
         scores = self.tables_j @ joint
@@ -110,7 +110,7 @@ class _MatrixRoute:
         peak = scores.max()
         w = np.exp((scores - peak) / tau)
         z = w.sum()
-        return float(peak + tau * np.log(z)), self.tables_j.T @ (w / z)
+        return float(peak + tau * np.log(z)), lambda: self.tables_j.T @ (w / z)
 
 
 class _ResponseRoute:
@@ -133,13 +133,17 @@ class _ResponseRoute:
         return resp.max(axis=2).sum(axis=1), resp
 
     def best(self, joint):
-        """(bound, flat joint table of the lexicographically first maximizer)."""
+        """(bound, callable giving the flat joint table of the lexicographically first maximizer)."""
         scores, resp = self._scores(joint)
         i = int(np.argmax(scores))
-        best_b = resp[i].argmax(axis=1)
-        table = np.zeros(self.shape)
-        table[self.xs[:, None], self.xs[None, :], self.assign[i][:, None], best_b[None, :]] = 1.0
-        return float(scores[i]), table.ravel()
+
+        def first_table():
+            best_b = resp[i].argmax(axis=1)
+            table = np.zeros(self.shape)
+            table[self.xs[:, None], self.xs[None, :], self.assign[i][:, None], best_b[None, :]] = 1.0
+            return table.ravel()
+
+        return float(scores[i]), first_table
 
     def maximizers(self, joint):
         scores, resp = self._scores(joint)
@@ -169,8 +173,9 @@ class _ResponseRoute:
         w_a = np.exp((per_alice - peak) / tau)
         z_a = w_a.sum()
         bound = peak + tau * np.log(z_a)
-        grad = np.einsum("i,ixa,iyb->xyab", w_a / z_a, self.a_hot, w_b / z_b)
-        return float(bound), grad.ravel()
+        return float(bound), lambda: np.einsum(
+            "i,ixa,iyb->xyab", w_a / z_a, self.a_hot, w_b / z_b
+        ).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -218,8 +223,10 @@ def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> Be
 
 
 def make_joint_bound_oracle(scenario: Scenario):
-    """Fast evaluator s_flat, tau -> (bound, gradient_flat) for joint-only coefficients.
+    """Fast evaluator s_flat, tau -> (bound, gradient) for joint-only coefficients.
 
+    gradient is a zero-argument callable that forms the flat gradient
+    table, so a caller that discards the point pays only for the bound.
     At tau = 0 the bound is the exact LHV maximum and the gradient is the
     lexicographically first maximizer's table.  For tau > 0 both are
     replaced by the log-sum-exp softening
@@ -229,7 +236,8 @@ def make_joint_bound_oracle(scenario: Scenario):
     a smooth convex upper bound on C whose gradient blends the tables of
     near-maximal strategies; optimizers anneal tau to zero to avoid
     stalling on the kinks of the exact bound.  The enumeration structures
-    are cached per scenario; the returned gradient row must not be mutated.
+    are cached per scenario; the returned gradient table must not be
+    mutated.
     """
     route = _route(scenario)
     best, smooth = route.best, route.smooth

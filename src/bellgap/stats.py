@@ -120,29 +120,22 @@ def poisson_sample(b: Behavior, n_per_setting: int, seed: int) -> CountTable:
     return CountTable(b.scenario, rng.poisson(int(n_per_setting) * b.p))
 
 
-def propagate(weights: np.ndarray, freq: np.ndarray, totals: np.ndarray, counts: np.ndarray):
-    """Linear Poisson error propagation of per-entry frequency weights.
-
-    Returns (centered, partials, delta_q): the weights centered on their
-    frequency-weighted block mean, the partials dQ/dc(ab|xy) = centered /
-    N(x, y), and delta_q = sqrt(sum partials^2 * c).
-    """
-    centered = weights - (weights * freq).sum(axis=(2, 3))[:, :, None, None]
-    partials = centered / totals[:, :, None, None]
-    return centered, partials, float(np.sqrt((partials**2 * counts).sum()))
-
-
 def error_propagation(f: BellFunctional, counts: CountTable) -> ErrorReport:
-    """Functional value on the frequencies and its 1-sigma Poisson error."""
+    """Functional value on the frequencies and its 1-sigma Poisson error.
+
+    Linear propagation: dQ/dc(ab|xy) is the coefficient centered on its
+    frequency-weighted block mean, divided by the block total N(x, y).
+    """
     if f.scenario != counts.scenario:
         raise ShapeMismatchError(
             f"functional scenario {f.scenario} != counts scenario {counts.scenario}"
         )
-    totals = counts.block_totals().astype(float)
-    freq = counts.c / totals[:, :, None, None]
+    totals = counts.block_totals().astype(float)[:, :, None, None]
+    freq = counts.c / totals
     e = _folded_joint(f)
-    _, partials, delta_q = propagate(e, freq, totals, counts.c)
+    partials = (e - (e * freq).sum(axis=(2, 3), keepdims=True)) / totals
     partials.setflags(write=False)
+    delta_q = float(np.sqrt((partials**2 * counts.c).sum()))
     return ErrorReport(float(np.vdot(e, freq)), delta_q, partials)
 
 

@@ -155,6 +155,16 @@ class TestProject:
         assert main(["project", str(path), "--out", str(tmp_path / "p.json")]) == 2
         assert f"{message} exceeds 2**53" in capsys.readouterr().err
 
+    def test_integer_count_beyond_exact_floats_is_rejected(self, tmp_path, capsys):
+        # 2**53 + 1 is a JSON integer that float64 would round down to 2**53.
+        counts = np.ones(CHSH.joint_shape, dtype=np.int64).tolist()
+        counts[0][0][0][0] = 2**53 + 1
+        path = tmp_path / "huge.json"
+        io.write_json(path, {"format_version": 1, "kind": "counts", "m": 2, "d": 2,
+                             "counts": counts})
+        assert main(["project", str(path), "--out", str(tmp_path / "p.json")]) == 2
+        assert "a count exceeds 2**53" in capsys.readouterr().err
+
 
 class TestOptimize:
     def run(self, data_dir, out, extra=()):

@@ -147,6 +147,23 @@ class TestSchemaGates:
         with pytest.raises(SchemaError, match="meta"):
             io.counts_from_payload(payload)
 
+    def test_integer_count_beyond_exact_floats(self, tmp_path):
+        # float64 reads 2**53 + 1 as 2**53, which CountTable would accept.
+        payload = io.counts_to_payload(CountTable(CHSH, np.ones(CHSH.joint_shape, dtype=np.int64)))
+        payload["counts"][0][0][0][0] = 2**53 + 1
+        path = tmp_path / "huge.json"
+        io.write_json(path, payload)
+        with pytest.raises(SchemaError, match=r"a count exceeds 2\*\*53"):
+            io.read_counts(path)
+
+    def test_count_at_the_exact_float_limit_reads_back(self, tmp_path):
+        c = np.zeros(CHSH.joint_shape, dtype=np.int64)
+        c[..., 0, 0] = 2**53
+        path = tmp_path / "limit.json"
+        io.write_counts(path, CountTable(CHSH, c))
+        counts, _ = io.read_counts(path)
+        np.testing.assert_array_equal(counts.c, c)
+
 
 class TestFileDigest:
     def test_matches_reference_hash(self, tmp_path):

@@ -39,7 +39,30 @@ FULL_MATRIX_LIMIT = 6561
 def first_maximizer_table(f: BellFunctional) -> np.ndarray:
     """The tau = 0 oracle gradient at f's folded joint table, shaped like it."""
     oracle = make_joint_bound_oracle(f.scenario)
-    return oracle(absorb_marginals(f).joint.ravel(), 0.0)[1].reshape(f.scenario.joint_shape)
+    return oracle(absorb_marginals(f).joint.ravel(), 0.0)[1]().reshape(f.scenario.joint_shape)
+
+
+def eager_gradient(route, s: np.ndarray, tau: float) -> np.ndarray:
+    """The oracle's gradient table at s, formed at once by the route's own formula."""
+    if isinstance(route, lhv_module._MatrixRoute):
+        scores = route.tables_j @ s
+        if tau <= 0.0:
+            return route.tables_j[int(np.argmax(scores))]
+        w = np.exp((scores - scores.max()) / tau)
+        return route.tables_j.T @ (w / w.sum())
+    scores, resp = route._scores(s)
+    if tau <= 0.0:
+        i = int(np.argmax(scores))
+        table = np.zeros(route.shape)
+        best_b = resp[i].argmax(axis=1)
+        table[route.xs[:, None], route.xs[None, :], route.assign[i][:, None], best_b[None, :]] = 1.0
+        return table.ravel()
+    peak_b = resp.max(axis=2, keepdims=True)
+    w_b = np.exp((resp - peak_b) / tau)
+    z_b = w_b.sum(axis=2, keepdims=True)
+    per_alice = (peak_b[:, :, 0] + tau * np.log(z_b[:, :, 0])).sum(axis=1)
+    w_a = np.exp((per_alice - per_alice.max()) / tau)
+    return np.einsum("i,ixa,iyb->xyab", w_a / w_a.sum(), route.a_hot, w_b / z_b).ravel()
 
 
 def brute_force_bound(f: BellFunctional) -> float:
@@ -306,6 +329,7 @@ class TestJointBoundOracle:
         oracle = make_joint_bound_oracle(CHSH)
         s = rng.normal(size=16)
         bound, grad = oracle(s, 0.0)
+        grad = grad()
         f = BellFunctional(CHSH, s.reshape(CHSH.joint_shape))
         np.testing.assert_allclose(bound, lhv_bound(f).bound, rtol=1e-13)
         first = strategy_behavior(lhv_bound(f).maximizers[0], CHSH)
@@ -321,7 +345,7 @@ class TestJointBoundOracle:
             assert isinstance(lhv_module._route(sc), getattr(lhv_module, route))
             for _ in range(3):
                 f = absorb_marginals(random_functional(sc, rng))
-                _, grad = make_joint_bound_oracle(sc)(f.joint.ravel(), 0.0)
+                grad = make_joint_bound_oracle(sc)(f.joint.ravel(), 0.0)[1]()
                 first = strategy_behavior(lhv_bound(f).maximizers[0], sc)
                 np.testing.assert_array_equal(grad.reshape(sc.joint_shape), first.p,
                                               err_msg=str(sc))
@@ -343,7 +367,7 @@ class TestJointBoundOracle:
         oracle = make_joint_bound_oracle(CHSH)
         s = rng.normal(size=16)
         tau = 0.3
-        _, grad = oracle(s, tau)
+        grad = oracle(s, tau)[1]()
         h = 1e-6
         for k in range(16):
             e = np.zeros(16)
@@ -354,7 +378,7 @@ class TestJointBoundOracle:
     def test_smooth_gradient_is_a_strategy_mixture(self):
         rng = np.random.default_rng(62)
         oracle = make_joint_bound_oracle(CHSH)
-        _, grad = oracle(rng.normal(size=16), 0.5)
+        grad = oracle(rng.normal(size=16), 0.5)[1]()
         g = grad.reshape(CHSH.joint_shape)
         assert np.all(g >= -1e-15)
         # Softmax weights sum to one within each (x, y) block.
@@ -365,13 +389,32 @@ class TestJointBoundOracle:
         rng = np.random.default_rng(63)
         points = [(sc, rng.normal(size=sc.m**2 * sc.d**2)) for sc in ROUTE_SCENARIOS]
         refs = [make_joint_bound_oracle(sc)(s, tau) for sc, s in points]
+        refs = [(bound, grad()) for bound, grad in refs]
         monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
         for (sc, s), (ref_bound, ref_grad) in zip(points, refs):
             bound, grad = make_joint_bound_oracle(sc)(s, tau)
+            grad = grad()
             np.testing.assert_allclose(bound, ref_bound, rtol=1e-12, err_msg=str(sc))
             np.testing.assert_allclose(
                 np.asarray(grad), np.asarray(ref_grad), atol=1e-12, err_msg=str(sc)
             )
+
+    @pytest.mark.parametrize("route", ["_MatrixRoute", "_ResponseRoute"])
+    @pytest.mark.parametrize("tau", [0.0, 0.25])
+    def test_lazy_gradient_is_the_eager_one(self, route, tau, monkeypatch):
+        if route == "_ResponseRoute":
+            monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
+        rng = np.random.default_rng(64)
+        for sc in ROUTE_SCENARIOS:
+            enumerator = lhv_module._route(sc)
+            assert isinstance(enumerator, getattr(lhv_module, route))
+            oracle = make_joint_bound_oracle(sc)
+            s1, s2 = rng.normal(size=(2, sc.m**2 * sc.d**2))
+            _, grad1 = oracle(s1, tau)
+            _, grad2 = oracle(s2, tau)
+            # Formed after a later call, each gradient is still its own point's.
+            np.testing.assert_array_equal(grad1(), eager_gradient(enumerator, s1, tau), str(sc))
+            np.testing.assert_array_equal(grad2(), eager_gradient(enumerator, s2, tau), str(sc))
 
     def test_capacity_error_at_construction(self):
         with pytest.raises(CapacityError):

@@ -65,6 +65,25 @@ MULTI_COUNTS = poisson_sample(
     random_ns_behavior(Scenario(3, 2), np.random.default_rng(31)), 10_000, seed=8
 )
 
+# Count tables of every scenario the count model is checked on; the 4x2
+# and 3x3 mixtures leave some entries with zero counts.
+MODEL_COUNTS = {
+    "2x2": TILTED_COUNTS,
+    "3x2": MULTI_COUNTS,
+    "4x2": poisson_sample(
+        random_ns_behavior(Scenario(4, 2), np.random.default_rng(32)), 10_000, seed=9
+    ),
+    "3x3": poisson_sample(
+        random_ns_behavior(Scenario(3, 3), np.random.default_rng(33)), 10_000, seed=10
+    ),
+}
+
+
+def block_constant(counts, rng):
+    """Coefficients constant on each setting block, flat."""
+    m, _, d, _ = counts.scenario.joint_shape
+    return np.repeat(rng.uniform(-1.0, 1.0, m * m), d * d)
+
 
 class TestOptimizerConfig:
     def test_defaults_are_valid(self):
@@ -154,26 +173,59 @@ class TestCountModel:
         np.testing.assert_allclose(q, rep.q, rtol=1e-13)
         np.testing.assert_allclose(dq, rep.delta_q, rtol=1e-13)
 
+    @pytest.mark.parametrize("scenario", MODEL_COUNTS)
+    def test_dq_matches_error_propagation(self, scenario):
+        counts = MODEL_COUNTS[scenario]
+        model = _CountModel(counts)
+        sc = counts.scenario
+        n = model.freq_flat.size
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            cases = {
+                "uniform": rng.uniform(-1.0, 1.0, n),
+                "corner": rng.choice([-1.0, 1.0], n),
+                "near block-constant": block_constant(counts, rng) + 1e-4 * rng.uniform(-1, 1, n),
+            }
+            for name, s in cases.items():
+                _, dq, _ = model.propagate(s)
+                rep = error_propagation(BellFunctional(sc, s.reshape(sc.joint_shape)), counts)
+                np.testing.assert_allclose(dq, rep.delta_q, rtol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("scenario", MODEL_COUNTS)
+    def test_dq_vanishes_on_block_constant_coefficients(self, scenario):
+        model = _CountModel(MODEL_COUNTS[scenario])
+        n = model.freq_flat.size
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            _, dq, ls = model.propagate(block_constant(MODEL_COUNTS[scenario], rng))
+            # Zero up to rounding of the product, never NaN, and without a gradient.
+            assert 0.0 <= dq <= 1e-15
+            np.testing.assert_array_equal(model.grad_dq(ls, dq), np.zeros(n))
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(15)
-        s = rng.uniform(-1.0, 1.0, 16)
-        model = _CountModel(TILTED_COUNTS)
-        _, dq0, centered = model.propagate(s)
-        grad_q, grad_dq = model.freq_flat, model.grad_dq(centered, dq0)
-        h = 1e-7
-        for k in range(0, 16, 3):
-            e = np.zeros(16)
-            e[k] = h
-            q_up, dq_up, _ = model.propagate(s + e)
-            q_dn, dq_dn, _ = model.propagate(s - e)
-            np.testing.assert_allclose(grad_q[k], (q_up - q_dn) / (2 * h), atol=1e-8)
-            np.testing.assert_allclose(grad_dq[k], (dq_up - dq_dn) / (2 * h), atol=1e-6)
+        for counts in (TILTED_COUNTS, MULTI_COUNTS):
+            model = _CountModel(counts)
+            n = model.freq_flat.size
+            s = rng.uniform(-1.0, 1.0, n)
+            _, dq0, ls = model.propagate(s)
+            grad_q, grad_dq = model.freq_flat, model.grad_dq(ls, dq0)
+            h = 1e-7
+            for k in range(0, n, 3):
+                e = np.zeros(n)
+                e[k] = h
+                q_up, dq_up, _ = model.propagate(s + e)
+                q_dn, dq_dn, _ = model.propagate(s - e)
+                np.testing.assert_allclose(grad_q[k], (q_up - q_dn) / (2 * h), atol=1e-8)
+                np.testing.assert_allclose(grad_dq[k], (dq_up - dq_dn) / (2 * h), atol=1e-6)
 
     def test_dq_gradient_is_zeroed_at_the_kink(self):
-        model = _CountModel(TILTED_COUNTS)
-        _, dq, centered = model.propagate(np.zeros(16))
-        assert dq == 0.0
-        np.testing.assert_array_equal(model.grad_dq(centered, dq), np.zeros(16))
+        for counts in MODEL_COUNTS.values():
+            model = _CountModel(counts)
+            n = model.freq_flat.size
+            _, dq, ls = model.propagate(np.zeros(n))
+            assert dq == 0.0
+            np.testing.assert_array_equal(model.grad_dq(ls, dq), np.zeros(n))
 
 
 class TestMaximizeR:
@@ -292,6 +344,45 @@ class TestGradientEngineInternals:
         optimize_module._run_gradient(_CountModel(MULTI_COUNTS), recording_oracle, 6, s0)
         assert len(scored) > 1000
         assert len(set(scored)) == len(scored)
+
+    @pytest.mark.parametrize("route", ["_MatrixRoute", "_ResponseRoute"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_gradients_are_formed_only_for_accepted_points(self, monkeypatch, route, seed):
+        # The oracle's gradient is lazy; the ascent forms it only for the
+        # point it moves from, never for a rejected candidate.
+        if route == "_ResponseRoute":
+            monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
+        sc = MULTI_COUNTS.scenario
+        model = _CountModel(MULTI_COUNTS)
+        oracle = make_joint_bound_oracle(sc)
+        scored = []  # (tau, R) of every scored point
+        formed = []  # index in scored of every gradient formed
+
+        def recording_oracle(s, tau=0.0):
+            c, grad = oracle(s, tau)
+            index = len(scored)
+            scored.append((tau, r_value(*model.propagate(s)[:2], c, 6)))
+
+            def recorded_grad():
+                formed.append(index)
+                return grad()
+
+            return c, recorded_grad
+
+        s0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 36)
+        optimize_module._run_gradient(model, recording_oracle, 6, s0)
+        # A stage starts wherever tau changes, from the point it holds;
+        # within a stage a point is accepted when it beats the best so far.
+        accepted, best, tau_before = set(), None, None
+        for index, (tau, r) in enumerate(scored):
+            if tau != tau_before or r > best:
+                accepted.add(index)
+                best = r
+            tau_before = tau
+        assert len(scored) - len(accepted) > 1000
+        # So at most one gradient per accepted step and one per stage start.
+        assert set(formed) <= accepted
+        assert len(formed) == len(set(formed))
 
 
 class TestExactPath:
