@@ -60,13 +60,28 @@ def _scenario_of(payload: dict) -> Scenario:
     return Scenario(payload["m"], payload["d"])
 
 
-def _array_of(payload: dict, key: str) -> np.ndarray:
+def _cells_of(payload: dict, key: str) -> np.ndarray:
+    """The table under key as an object array whose cells are JSON numbers.
+
+    Only int and float cells pass: numpy would parse "5" as 5, true as 1
+    and null as nan, none of which the schema allows.
+    """
     if key not in payload:
         raise SchemaError(f"missing field {key!r}")
+    cells = np.asarray(payload[key], dtype=object)
+    for cell in cells.flat:
+        if type(cell) not in (int, float):
+            if isinstance(cell, (list, dict)):
+                raise SchemaError(f"field {key!r} is not a rectangular numeric array")
+            raise SchemaError(f"field {key!r}: {json.dumps(cell)} is not a JSON number")
+    return cells
+
+
+def _array_of(payload: dict, key: str) -> np.ndarray:
     try:
-        return np.asarray(payload[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"field {key!r} is not a rectangular numeric array") from exc
+        return _cells_of(payload, key).astype(float)
+    except OverflowError as exc:
+        raise SchemaError(f"field {key!r} holds an integer too large for a float") from exc
 
 
 def behavior_to_payload(b: Behavior) -> dict:
@@ -106,17 +121,12 @@ def counts_from_payload(payload: dict) -> tuple[CountTable, dict]:
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
         raise SchemaError("field 'meta' must be an object")
-    counts = _array_of(payload, "counts")
+    cells = _cells_of(payload, "counts")
     # float64 rounds integers above 2**53 (9007199254740993 reads as
-    # ...992), so counts that reach it are compared as the JSON numbers.
-    if (counts >= _MAX_COUNT).any():
-        try:
-            too_large = (np.asarray(payload["counts"], dtype=object) > _MAX_COUNT).any()
-        except TypeError as exc:  # numpy parses numeric strings; Python does not compare them
-            raise SchemaError("field 'counts' is not a rectangular numeric array") from exc
-        if too_large:
-            raise SchemaError(f"field 'counts': a count exceeds 2**53 = {_MAX_COUNT}")
-    return CountTable(sc, counts), meta
+    # ...992), so the counts are compared as the JSON numbers.
+    if (cells > _MAX_COUNT).any():
+        raise SchemaError(f"field 'counts': a count exceeds 2**53 = {_MAX_COUNT}")
+    return CountTable(sc, cells.astype(float)), meta
 
 
 def functional_to_payload(f: BellFunctional) -> dict:

@@ -12,8 +12,8 @@ the box [-1, 1]^((dm)^2), by one of two paths:
 
 * 2x2 counts are solved exactly.  With u = s + 1 >= 0, R is a concave
   numerator over a convex denominator, both positively homogeneous in u,
-  so max R is one concave program (Charnes & Cooper 1962) and one LP
-  certifies an upper bound on it.
+  so max R is one concave program (Charnes & Cooper 1962), and the
+  solver's KKT multipliers certify an upper bound on it.
 * Every other scenario keeps the annealed gradient search from independent
   random restarts, which samples max R rather than solving it.
 
@@ -105,9 +105,9 @@ class OptimizationResult:
 
     engine_trace holds the final R of every restart, or on the exact 2x2
     path one entry, the maximal R (both before the significance gate).
-    r_upper is an upper bound on max R over the box: the LP certificate
-    of the Charnes-Cooper program on the exact path, math.inf on the
-    restart path.
+    r_upper is an upper bound on max R over the box: on the exact path the
+    dual bound of the Charnes-Cooper program at SLSQP's KKT multipliers,
+    math.inf on the restart path.
     """
 
     functional: BellFunctional
@@ -311,11 +311,13 @@ def _charnes_cooper(model, tables, dm):
 
     q - dQ is concave and positively homogeneous, so q(u) - dQ(u) <= v.u
     with v its gradient at s, and max R <= max{v.u : T u <= 1, u >= 0}.
-    Every u_i <= 1 on that set, so any y >= 0 bounds the LP by
-    sum(y) + sum(max(v - T^T y, 0)); y is the LP's dual, and the repair
-    term keeps solver tolerances from undercutting the bound.
+    Every u_i <= 1 on that set, so any y >= 0 bounds that LP by
+    sum(y) + sum(max(v - T^T y, 0)).  y is SLSQP's KKT multipliers of the
+    rows of T u <= 1 (bound multipliers are not among them); at a KKT point
+    T^T y >= v, so y is feasible for the LP's dual.  The repair term keeps
+    an early stop or solver tolerances from undercutting the bound.
     """
-    from scipy.optimize import linprog, minimize  # here, so importing bellgap loads no scipy
+    from scipy.optimize import minimize  # here, so importing bellgap loads no scipy
     n = tables.shape[1]
     constraint = {"type": "ineq", "fun": lambda u: 1.0 - tables @ u, "jac": lambda u: -tables}
 
@@ -336,8 +338,7 @@ def _charnes_cooper(model, tables, dm):
     s = 2.0 * u / u.max() - 1.0
     q, dq, ls = model.propagate(s)
     v = model.freq_flat - model.grad_dq(ls, dq)
-    lp = linprog(-v, A_ub=tables, b_ub=np.ones(len(tables)), bounds=(0.0, None))
-    y = np.clip(-lp.ineqlin.marginals, 0.0, None)
+    y = np.clip(sol.multipliers, 0.0, None)
     r_upper = y.sum() + np.clip(v - tables.T @ y, 0.0, None).sum()
     return s, r_value(q, dq, float((tables @ s).max()), dm), float(r_upper)
 
@@ -346,11 +347,11 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     """Best R in the coefficient box: exact on 2x2, restarts elsewhere.
 
     On 2x2 counts the single candidate is the exact maximizer, found by
-    one SLSQP solve of the Charnes-Cooper program and certified by one LP,
-    and the result does not depend on cfg.seed.  Elsewhere restart i draws
-    its start from a generator seeded by (seed, i), so runs are
-    reproducible and a restart prefix is deterministic regardless of the
-    total count.
+    one SLSQP solve of the Charnes-Cooper program and certified by its KKT
+    multipliers, and the result does not depend on cfg.seed.  Elsewhere
+    restart i draws its start from a generator seeded by (seed, i), so runs
+    are reproducible and a restart prefix is deterministic regardless of
+    the total count.
     A zero functional (R = 1 exactly) backstops both paths: a candidate
     displaces it only when its gap q - c exceeds SIGNIFICANCE_SDN error
     units, which filters the fluke violations that finite-count noise

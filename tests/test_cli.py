@@ -165,6 +165,16 @@ class TestProject:
         assert main(["project", str(path), "--out", str(tmp_path / "p.json")]) == 2
         assert "a count exceeds 2**53" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["5", True, None])
+    def test_non_number_count_is_a_schema_error(self, tmp_path, capsys, cell):
+        counts = np.ones(CHSH.joint_shape, dtype=np.int64).tolist()
+        counts[0][1][0][1] = cell
+        path = tmp_path / "bad.json"
+        io.write_json(path, {"format_version": 1, "kind": "counts", "m": 2, "d": 2,
+                             "counts": counts})
+        assert main(["project", str(path), "--out", str(tmp_path / "p.json")]) == 2
+        assert "is not a JSON number" in capsys.readouterr().err
+
 
 class TestOptimize:
     def run(self, data_dir, out, extra=()):

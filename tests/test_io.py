@@ -164,6 +164,70 @@ class TestSchemaGates:
         counts, _ = io.read_counts(path)
         np.testing.assert_array_equal(counts.c, c)
 
+    @pytest.mark.parametrize("count", [2**63, 2**64, 10**400])
+    def test_integer_counts_numpy_reads_as_other_dtypes_are_rejected(self, tmp_path, count):
+        # numpy reads 2**63 as uint64 and 2**64 as object; 10**400 overflows a float.
+        payload = io.counts_to_payload(CountTable(CHSH, np.ones(CHSH.joint_shape, dtype=np.int64)))
+        payload["counts"][1][0][1][1] = count
+        path = tmp_path / "huge.json"
+        io.write_json(path, payload)
+        with pytest.raises(SchemaError, match=r"a count exceeds 2\*\*53"):
+            io.read_counts(path)
+
+    def test_integer_coefficient_beyond_floats_is_rejected(self):
+        payload = io.functional_to_payload(tilted_functional(0.0))
+        payload["joint"][0][0][0][0] = 10**400
+        with pytest.raises(SchemaError, match="'joint' holds an integer too large"):
+            io.functional_from_payload(payload)
+
+
+# One cell of each table, and the reader that must refuse a non-number there.
+_TABLE_CELLS = {
+    "counts": (
+        lambda: io.counts_to_payload(CountTable(CHSH, np.ones(CHSH.joint_shape, dtype=np.int64))),
+        lambda p: p["counts"][0][1][1], io.counts_from_payload,
+    ),
+    "joint": (
+        lambda: io.functional_to_payload(tilted_functional(1.0)),
+        lambda p: p["joint"][1][1][0], io.functional_from_payload,
+    ),
+    "marginal_a": (
+        lambda: io.functional_to_payload(tilted_functional(1.0)),
+        lambda p: p["marginal_a"][0], io.functional_from_payload,
+    ),
+    "p": (
+        lambda: io.behavior_to_payload(tilted_behavior(1.0)),
+        lambda p: p["p"][1][0][0], io.behavior_from_payload,
+    ),
+    "setting_weights": (
+        lambda: io.behavior_to_payload(tilted_behavior(1.0)),
+        lambda p: p["setting_weights"][0], io.behavior_from_payload,
+    ),
+}
+
+
+class TestCellsAreJsonNumbers:
+    """numpy would read "5" as 5, true as 1 and null as nan; the schema takes only numbers."""
+
+    @pytest.mark.parametrize("bad", ["5", True, False, None], ids=["string", "true", "false", "null"])
+    @pytest.mark.parametrize("field", _TABLE_CELLS)
+    def test_non_number_cell_is_a_schema_error(self, tmp_path, field, bad):
+        make, row_of, from_payload = _TABLE_CELLS[field]
+        payload = make()
+        row = row_of(payload)
+        row[1] = bad
+        path = tmp_path / "bad.json"
+        io.write_json(path, payload)
+        with pytest.raises(SchemaError, match=f"field '{field}': {json.dumps(bad)} is not a JSON number"):
+            from_payload(io.read_json(path))
+
+    def test_integer_and_float_cells_read_as_before(self):
+        payload = io.functional_to_payload(tilted_functional(1.0))
+        payload["joint"][0][0][0] = [1, 0]  # JSON integers where floats were written
+        expect = tilted_functional(1.0).joint.copy()
+        expect[0, 0, 0] = [1.0, 0.0]
+        np.testing.assert_array_equal(io.functional_from_payload(payload).joint, expect)
+
 
 class TestFileDigest:
     def test_matches_reference_hash(self, tmp_path):
