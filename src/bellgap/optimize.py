@@ -8,14 +8,19 @@ where Q is the functional's value on the measured frequencies, dQ its
 propagated Poisson error, C its LHV bound, and the d*m shift keeps the
 denominator away from zero.  Data admits no local model exactly when some
 functional reaches R > 1.  The search runs over joint-only coefficients in
-the box [-1, 1]^((dm)^2), by one of two paths:
+the box [-1, 1]^((dm)^2), by one of three paths:
 
 * 2x2 counts are solved exactly.  With u = s + 1 >= 0, R is a concave
   numerator over a convex denominator, both positively homogeneous in u,
   so max R is one concave program (Charnes & Cooper 1962), and the
   solver's KKT multipliers certify an upper bound on it.
-* Every other scenario keeps the annealed gradient search from independent
-  random restarts, which samples max R rather than solving it.
+* Elsewhere a local model within SIGNIFICANCE_SDN error units of the
+  frequencies, found by Wolfe's minimum-norm-point method with the LHV
+  enumerator as its oracle, proves that no functional clears the
+  significance gate; the zero functional is then the answer, and no search
+  runs.
+* Otherwise the annealed gradient search runs from independent random
+  restarts, which samples max R rather than solving it.
 
 The split has three reasons.  When m > d the box holds points with
 C + dm <= 0, since a strategy can score as low as -m^2 < -dm.  Near that
@@ -68,6 +73,11 @@ _BASELINE_MARGIN = 1e-12
 # call a certification successful downstream.
 SIGNIFICANCE_SDN = 3.0
 
+# A local model within this many error units of the frequencies rules out
+# every functional that could clear the gate (_local_bracket); the margin
+# absorbs rounding in q - c.
+_CLEARED_SDN = SIGNIFICANCE_SDN * (1.0 - 1e-9)
+
 # Budget of one restart of the gradient search: ascent iterations, first
 # step length and the per-step gain below which an ascent stops.
 _MAX_ITERS = 5000
@@ -78,6 +88,11 @@ _CONVERGENCE_TOL = 1e-9
 _TAU_INIT = 0.5
 _TAU_DECAY = 0.25
 _TAU_FLOOR = 1e-10
+
+# Caps on the major and minor cycles of _local_bracket.  Without them the
+# minor cycle on local 4x3 counts ran 10 000 iterations (42 s).
+_WOLFE_MAJOR = 200
+_WOLFE_MINOR = 100
 
 
 @dataclass(frozen=True)
@@ -103,11 +118,12 @@ class OptimizerConfig:
 class OptimizationResult:
     """Best functional found, with its score components and search trace.
 
-    engine_trace holds the final R of every restart, or on the exact 2x2
-    path one entry, the maximal R (both before the significance gate).
+    engine_trace holds the final R of every restart, or one entry: on the
+    exact 2x2 path the maximal R (both before the significance gate), and
+    1.0, the zero functional's R, when a local model skipped the restarts.
     r_upper is an upper bound on max R over the box: on the exact path the
     dual bound of the Charnes-Cooper program at SLSQP's KKT multipliers,
-    math.inf on the restart path.
+    math.inf on the other two.
     """
 
     functional: BellFunctional
@@ -343,8 +359,83 @@ def _charnes_cooper(model, tables, dm):
     return s, r_value(q, dq, float((tables @ s).max()), dm), float(r_upper)
 
 
+def _local_bracket(model, best):
+    """Bracket lb <= D <= ub on the distance D from the data to the local polytope.
+
+    D = min ||x|| over x = W (f - T^T lam), lam the weights of a local model
+    whose strategies put no weight on zero-count entries, W = 1/model.root the
+    inverse error scale of each entry with f > 0, and x taken over those
+    entries.  f - T^T lam sums to zero in every block, so (f - T^T lam).s =
+    x.(L s) for every s, and with C >= lam^T T s,
+
+        q - C <= ||x|| ||L s|| = ub dQ.
+
+    Wolfe's (1976) minimum-norm-point method finds D over conv{W(T_k - f)},
+    with best, the LHV enumerator, as its oracle: it gets -W x, and -1e9 on
+    zero-count entries.  ub = ||x|| at the current point, and lb the largest
+    min_k <x/||x||, W(T_k - f)> seen so far.  The minor cycle solves least
+    squares on differences from a base point, not the Gram system, which
+    would square the conditioning.  The run stops once ub <= _CLEARED_SDN
+    or lb > _CLEARED_SDN, that is once the side of the gate that D is on
+    is known, at convergence, or at a cap on either cycle.  Returns (lb, ub,
+    weights, tables): the local model is sum_k weights[k] tables[k].  ub
+    is inf, with no tables, when every strategy needs a zero-count entry.
+    """
+    pos = model.root > 0
+    w = np.divide(1.0, model.root, out=np.zeros(model.root.size), where=pos)
+    f = model.freq_flat
+    blocked = np.where(pos, 0.0, -1e9)
+
+    def vertex(direction):
+        """(table, W(table - f)) of the best strategy, or None if it needs a zero-count entry."""
+        table = best(direction + blocked)[1]()
+        return None if table[~pos].any() else (table, w * (table - f))
+
+    start = vertex(f)
+    if start is None:
+        return 0.0, math.inf, np.ones(0), np.zeros((0, f.size))
+    tables, points, lam = start[0][None, :], start[1][None, :], np.ones(1)
+    x, lb = points[0], 0.0
+    ub = math.sqrt(x @ x)
+    for _ in range(_WOLFE_MAJOR):
+        if ub <= _CLEARED_SDN:
+            break
+        new = vertex(-w * x)
+        if new is None:
+            break
+        lb = max(lb, float(x @ new[1]) / ub)
+        converged = ub - lb <= 1e-10 * ub or (tables == new[0]).all(axis=1).any()
+        if lb > _CLEARED_SDN or converged:
+            break
+        tables = np.vstack([tables, new[0]])
+        points = np.vstack([points, new[1]])
+        lam = np.append(lam, 0.0)
+        for _ in range(_WOLFE_MINOR):
+            # Affine min-norm point of the corral: base + (rest - base) mu.
+            mu = np.linalg.lstsq((points[1:] - points[0]).T, -points[0], rcond=None)[0]
+            alpha = np.concatenate([[1.0 - mu.sum()], mu])
+            out = np.nonzero(alpha < 0.0)[0]
+            if out.size:
+                # Step from lam toward alpha until a weight reaches zero;
+                # that point leaves the corral, which shrinks every step.
+                ratios = lam[out] / (lam[out] - alpha[out])
+                lam = lam + ratios.min() * (alpha - lam)
+                lam[out[ratios.argmin()]] = 0.0
+            else:
+                lam = alpha
+            keep = lam > 0.0
+            tables, points, lam = tables[keep], points[keep], lam[keep] / lam[keep].sum()
+            if not out.size:
+                break
+        x = lam @ points
+        ub = math.sqrt(x @ x)
+        if out.size:  # the minor cycle hit its cap
+            break
+    return lb, ub, lam, tables
+
+
 def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
-    """Best R in the coefficient box: exact on 2x2, restarts elsewhere.
+    """Best R in the box: exact on 2x2, elsewhere restarts unless a local model rules them out.
 
     On 2x2 counts the single candidate is the exact maximizer, found by
     one SLSQP solve of the Charnes-Cooper program and certified by its KKT
@@ -352,11 +443,17 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     restart i draws its start from a generator seeded by (seed, i), so runs
     are reproducible and a restart prefix is deterministic regardless of
     the total count.
-    A zero functional (R = 1 exactly) backstops both paths: a candidate
+    A zero functional (R = 1 exactly) backstops every path: a candidate
     displaces it only when its gap q - c exceeds SIGNIFICANCE_SDN error
     units, which filters the fluke violations that finite-count noise
     produces on perfectly local data.  Among significant candidates the
-    largest r wins, ties keeping the earliest restart.
+    largest r wins, ties keeping the earliest restart.  Before the
+    restarts, _local_bracket looks for a local model within
+    SIGNIFICANCE_SDN error units of the frequencies; one bounds q - c by
+    that distance times dQ for every functional, so no restart could
+    displace the backstop, and the backstop is returned with the restarts
+    skipped.  Every field but engine_trace is then the one the restarts
+    would give.
     """
     sc = counts.scenario
     dm = sc.d * sc.m
@@ -367,10 +464,16 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     # Exact only on 2x2 (module docstring): m > d has the pole at
     # C + dm -> 0+ (an m^2 shift removes it but finds weaker witnesses),
     # and on local 3x3 counts the exact optimum passes the uncalibrated
-    # SIGNIFICANCE_SDN gate (R = 1.0048, SDN 3.65).
+    # SIGNIFICANCE_SDN gate (R = 1.0048, SDN 3.65).  Elsewhere, when a local
+    # model puts q - C <= ub dQ for every s with ub below the gate, no
+    # restart could clear it, so the backstop is the answer and its R = 1
+    # the only trace entry.
+    r_upper = math.inf
     if (sc.m, sc.d) == (2, 2):
         s_x, r_x, r_upper = _charnes_cooper(model, _route(sc).tables_j, dm)
         runs = [(s_x, r_x)]
+    elif _local_bracket(model, _route(sc).best)[1] <= _CLEARED_SDN:
+        runs = [(np.zeros(n), 1.0)]
     else:
         seed = cfg.seed % 2**63
         runs = (
@@ -379,7 +482,6 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
             )
             for i in range(cfg.restarts)
         )
-        r_upper = math.inf
 
     best_s = None
     best_r = -math.inf

@@ -1,4 +1,8 @@
-"""Tests for the violation-ratio objective and its maximizers (exact on 2x2, restarts elsewhere)."""
+"""Tests for the violation-ratio objective and its maximizers.
+
+On 2x2 the maximum is exact; elsewhere a local model near the data can
+rule out any significant functional, and otherwise the restarts run.
+"""
 
 import math
 
@@ -6,6 +10,7 @@ import numpy as np
 import pytest
 
 from bellgap import (
+    Behavior,
     BellFunctional,
     CountTable,
     DegenerateObjectiveError,
@@ -14,6 +19,7 @@ from bellgap import (
     Scenario,
     alpha_for_concurrence,
     error_propagation,
+    io,
     lhv_bound,
     maximize_r,
     objective_r,
@@ -28,7 +34,8 @@ from bellgap import lhv as lhv_module
 from bellgap import optimize as optimize_module
 from bellgap.lhv import make_joint_bound_oracle, strategy_behavior
 from bellgap.lhv import DeterministicStrategy
-from bellgap.optimize import PENALTY_R, _CountModel
+from bellgap.cli import main
+from bellgap.optimize import PENALTY_R, SIGNIFICANCE_SDN, _CountModel
 
 from helpers import random_ns_behavior
 
@@ -62,9 +69,32 @@ CERTIFY_2X2 = ALL_2X2 | {
 }
 
 # maximize_r keeps the restart search outside 2x2, so restart semantics
-# are pinned on a 3x2 table.
+# are pinned on a 3x2 table.  Its distance to the local polytope, 3.22
+# error units, exceeds the significance gate, so the restarts run.
 MULTI_COUNTS = poisson_sample(
     random_ns_behavior(Scenario(3, 2), np.random.default_rng(31)), 10_000, seed=8
+)
+
+
+def _local_mixture(sc, rng, n_strategies):
+    """Random mixture of deterministic strategies, drawn as the benchmark draws its local data."""
+    parts = [
+        strategy_behavior(
+            DeterministicStrategy(
+                tuple(rng.integers(0, sc.d, sc.m)), tuple(rng.integers(0, sc.d, sc.m))
+            ),
+            sc,
+        ).p
+        for _ in range(n_strategies)
+    ]
+    return Behavior(sc, np.tensordot(rng.dirichlet(np.ones(n_strategies)), np.stack(parts), axes=1))
+
+
+# The benchmark's local 3x2 counts: a six-strategy mixture, three zero
+# counts, distance 2.58 to the local polytope, so no functional clears the
+# significance gate and maximize_r skips the restarts.
+LOCAL_3X2 = poisson_sample(
+    _local_mixture(Scenario(3, 2), np.random.default_rng(77), 6), 100_000, seed=77
 )
 
 # Count tables of every scenario the count model is checked on; the 4x2
@@ -479,6 +509,126 @@ class TestExactPath:
         assert res.r_upper == math.inf
 
 
+def _bracket(counts):
+    """_local_bracket as maximize_r runs it."""
+    best = lhv_module._route(counts.scenario).best
+    return optimize_module._local_bracket(_CountModel(counts), best)
+
+
+def _scored_sdn(counts, s_flat):
+    """SDN of joint coefficients s, scored by error_propagation and lhv_bound."""
+    f = BellFunctional(counts.scenario, s_flat.reshape(counts.scenario.joint_shape))
+    rep = error_propagation(f, counts)
+    return sdn(rep.q, rep.delta_q, lhv_bound(f).bound)
+
+
+def _spy_restarts(monkeypatch):
+    """Record every call of the restart search; returns the list of calls."""
+    calls = []
+    real = optimize_module._run_gradient
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimize_module, "_run_gradient", spy)
+    return calls
+
+
+BRACKET_COUNTS = ALL_2X2 | {"multi": MULTI_COUNTS, "local_3x2": LOCAL_3X2}
+
+
+class TestLocalBracket:
+    """The local-model bracket lb <= D <= ub, and the restarts it skips when ub clears the gate."""
+
+    @pytest.mark.parametrize("name", BRACKET_COUNTS)
+    def test_bracket_comes_with_a_local_model(self, name):
+        counts = BRACKET_COUNTS[name]
+        lb, ub, lam, tables = _bracket(counts)
+        assert 0.0 <= lb <= ub < math.inf
+        assert (lam >= 0.0).all()
+        assert abs(lam.sum() - 1.0) <= 1e-12
+        zero = (counts.c == 0).ravel()
+        assert not tables[:, zero].any()
+        # ub is the error-weighted distance of that model from the
+        # frequencies, recomputed from the counts.
+        n = np.broadcast_to(counts.block_totals()[:, :, None, None], counts.c.shape)
+        f = counts.c / n
+        p = (lam @ tables).reshape(counts.scenario.joint_shape)
+        pos = f > 0
+        distance = math.sqrt((n[pos] * (f - p)[pos] ** 2 / f[pos]).sum())
+        np.testing.assert_allclose(distance, ub, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", ALL_2X2)
+    def test_ub_bounds_the_sdn_of_the_exact_optimum(self, name):
+        counts = ALL_2X2[name]
+        tables = lhv_module._route(CHSH).tables_j
+        s, _, _ = optimize_module._charnes_cooper(_CountModel(counts), tables, DM)
+        assert _scored_sdn(counts, s) <= _bracket(counts)[1] * (1.0 + 1e-12)
+
+    def test_ub_bounds_the_sdn_of_restart_results(self):
+        ub = _bracket(MULTI_COUNTS)[1]
+        model = _CountModel(MULTI_COUNTS)
+        oracle = make_joint_bound_oracle(MULTI_COUNTS.scenario)
+        for i in range(4):
+            s0 = np.random.default_rng([123, i]).uniform(-1.0, 1.0, 36)
+            s, _ = optimize_module._run_gradient(model, oracle, 6, s0)
+            assert _scored_sdn(MULTI_COUNTS, s) <= ub * (1.0 + 1e-12)
+
+    def test_local_counts_skip_the_restarts(self, monkeypatch):
+        def no_restarts(*args):
+            raise AssertionError("the restart search ran")
+
+        monkeypatch.setattr(optimize_module, "_run_gradient", no_restarts)
+        assert _bracket(LOCAL_3X2)[1] <= SIGNIFICANCE_SDN
+        res = maximize_r(LOCAL_3X2, FAST)
+        assert res.engine_trace == (1.0,)
+        assert res.r == 1.0 and not res.is_nonlocal
+        assert not res.functional.joint.any()
+        assert res.r_upper == math.inf
+
+    def test_skip_writes_the_bytes_of_the_restart_search(self, tmp_path, monkeypatch):
+        counts_path = tmp_path / "local_3x2.json"
+        io.write_counts(counts_path, LOCAL_3X2)
+
+        def optimize(name):
+            out = tmp_path / f"{name}.json"
+            argv = ["optimize", str(counts_path), "--seed", "123", "--restarts", "2"]
+            assert main([*argv, "--out", str(out)]) == 0
+            return out.read_bytes(), (tmp_path / f"{name}_functional.json").read_bytes()
+
+        skipped = optimize("skipped")
+        calls = _spy_restarts(monkeypatch)
+        no_certificate = (0.0, math.inf, np.ones(0), np.zeros((0, 36)))
+        monkeypatch.setattr(optimize_module, "_local_bracket", lambda *a: no_certificate)
+        searched = optimize("searched")
+        assert len(calls) == 2
+        assert searched == skipped
+
+    def test_no_skip_beyond_the_gate(self, monkeypatch):
+        # D = 3.22 on these counts: the bracket proves it exceeds the gate.
+        assert _bracket(MULTI_COUNTS)[0] > SIGNIFICANCE_SDN
+        calls = _spy_restarts(monkeypatch)
+        res = maximize_r(MULTI_COUNTS, OptimizerConfig(restarts=2, seed=1))
+        assert len(calls) == 2
+        assert len(res.engine_trace) == 2
+
+    def test_zero_counts_that_exclude_every_strategy_leave_no_certificate(self, monkeypatch):
+        # Alice's outcome on setting 0 has zero counts for a = 0 against
+        # Bob's setting 0 and for a = 1 against his setting 1, so every
+        # deterministic strategy puts weight on a zero-count entry.
+        c = MULTI_COUNTS.c.copy()
+        c[0, 0, 0, :] = 0
+        c[0, 1, 1, :] = 0
+        counts = CountTable(MULTI_COUNTS.scenario, c)
+        lb, ub, lam, tables = _bracket(counts)
+        assert ub == math.inf and lam.size == 0 and tables.shape == (0, 36)
+        calls = _spy_restarts(monkeypatch)
+        res = maximize_r(counts, OptimizerConfig(restarts=2, seed=1))
+        assert len(calls) == 2
+        assert len(res.engine_trace) == 2
+
+
 def _swap_parties(c):
     return c.transpose(1, 0, 3, 2)
 
@@ -493,8 +643,11 @@ def _flip_alice_setting_0(c):
     return c
 
 
+RELABELINGS = [_swap_parties, _swap_alice_settings, _flip_alice_setting_0]
+
+
 class TestRelabelingInvariance:
-    @pytest.mark.parametrize("relabel", [_swap_parties, _swap_alice_settings, _flip_alice_setting_0])
+    @pytest.mark.parametrize("relabel", RELABELINGS)
     @pytest.mark.parametrize("name", ["tilted", "c0.193", "uniform"])
     def test_r_and_verdict_are_invariant(self, name, relabel):
         counts = ALL_2X2[name]
@@ -506,3 +659,15 @@ class TestRelabelingInvariance:
         # On local data r is the baseline 1 either way; the optimum before
         # the significance gate must not move either.
         np.testing.assert_allclose(moved.engine_trace, base.engine_trace, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("relabel", RELABELINGS)
+    def test_local_3x2_skip_is_invariant(self, relabel):
+        moved_counts = CountTable(LOCAL_3X2.scenario, relabel(LOCAL_3X2.c))
+        base, moved = maximize_r(LOCAL_3X2, FAST), maximize_r(moved_counts, FAST)
+        assert moved.engine_trace == base.engine_trace == (1.0,)
+        assert (moved.r, moved.q, moved.delta_q) == (base.r, base.q, base.delta_q)
+        assert moved.c == base.c
+        np.testing.assert_array_equal(moved.functional.joint, base.functional.joint)
+        # Each bracket holds the same distance, so the two overlap.
+        (lb, ub), (lb_moved, ub_moved) = _bracket(LOCAL_3X2)[:2], _bracket(moved_counts)[:2]
+        assert max(lb, lb_moved) <= min(ub, ub_moved) <= SIGNIFICANCE_SDN
