@@ -20,7 +20,7 @@ from bellgap import (
 
 
 def main():
-    cf = canonicalize(tilted_functional(0.0), normalize=4.0)
+    cf = canonicalize(tilted_functional(0.0))
     ideal = tilted_behavior(0.0)
     sym = critical_efficiency(cf, ideal, "symmetric").eta_a
     asym = critical_efficiency(cf, ideal, "asymmetric_b_perfect").eta_a
@@ -31,7 +31,7 @@ def main():
     print(f"{'concurrence':>12} {'alpha':>7} {'eta_sym':>9} {'eta_asym':>9}")
     for conc in (1.0, 0.835, 0.582, 0.375, 0.193):
         alpha = alpha_for_concurrence(conc)
-        cf = canonicalize(tilted_functional(alpha), normalize=4.0)
+        cf = canonicalize(tilted_functional(alpha))
         b = tilted_behavior(alpha)
         eta_s = critical_efficiency(cf, b, "symmetric").eta_a
         eta_a = critical_efficiency(cf, b, "asymmetric_b_perfect").eta_a

@@ -51,12 +51,10 @@ class CanonicalFunctional:
 
     On every no-signaling behavior,
 
-        scale * (joint0 . p(00|xy) + marg_a0 . p_A(0|x) + marg_b0 . p_B(0|y))
-            + offset
+        joint0 . p(00|xy) + marg_a0 . p_A(0|x) + marg_b0 . p_B(0|y) + offset
 
-    equals the original functional's value.  ``scale`` records any
-    normalization divided out of the coefficients; ``offset`` is the
-    constant term the outcome-1 elimination produces.
+    equals the original functional's value; ``offset`` is the constant
+    term the outcome-1 elimination produces.
     """
 
     scenario: Scenario
@@ -64,7 +62,6 @@ class CanonicalFunctional:
     marg_a0: np.ndarray
     marg_b0: np.ndarray
     offset: float
-    scale: float = 1.0
 
     def __post_init__(self):
         sc = self.scenario
@@ -84,10 +81,7 @@ class CanonicalFunctional:
         )
         if not math.isfinite(self.offset):
             raise DomainError(f"offset must be finite, got {self.offset!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise DomainError(f"scale must be positive and finite, got {self.scale!r}")
         object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "scale", float(self.scale))
 
 
 @dataclass(frozen=True)
@@ -108,15 +102,8 @@ class EfficiencyResult:
             object.__setattr__(self, name, float(eta))
 
 
-def canonicalize(f: BellFunctional, normalize: float = 1.0) -> CanonicalFunctional:
-    """Eliminate outcome-1 probabilities from a two-outcome functional.
-
-    ``normalize`` divides every coefficient and is recorded as the scale;
-    the offset stays unscaled so the reconstruction identity holds as
-    written on the canonical form.
-    """
-    if not (math.isfinite(normalize) and normalize > 0):
-        raise DomainError(f"normalize must be positive and finite, got {normalize!r}")
+def canonicalize(f: BellFunctional) -> CanonicalFunctional:
+    """Eliminate outcome-1 probabilities from a two-outcome functional."""
     s = f.joint
     joint0 = s[:, :, 0, 0] - s[:, :, 0, 1] - s[:, :, 1, 0] + s[:, :, 1, 1]
     marg_a0 = (
@@ -130,18 +117,11 @@ def canonicalize(f: BellFunctional, normalize: float = 1.0) -> CanonicalFunction
         + (s[:, :, 1, 0] - s[:, :, 1, 1]).sum(axis=0)
     )
     offset = s[:, :, 1, 1].sum() + f.marginal_a[:, 1].sum() + f.marginal_b[:, 1].sum()
-    return CanonicalFunctional(
-        f.scenario,
-        joint0 / normalize,
-        marg_a0 / normalize,
-        marg_b0 / normalize,
-        float(offset),
-        normalize,
-    )
+    return CanonicalFunctional(f.scenario, joint0, marg_a0, marg_b0, float(offset))
 
 
 def canonical_terms(cf: CanonicalFunctional, b: Behavior) -> tuple[float, float, float]:
-    """Unscaled contributions (joint, Alice marginal, Bob marginal) of b."""
+    """Contributions (joint, Alice marginal, Bob marginal) of b."""
     if cf.scenario != b.scenario:
         raise ShapeMismatchError(
             f"canonical scenario {cf.scenario} != behavior scenario {b.scenario}"
@@ -156,11 +136,11 @@ def canonical_terms(cf: CanonicalFunctional, b: Behavior) -> tuple[float, float,
 
 def canonical_value(cf: CanonicalFunctional, b: Behavior) -> float:
     """Value of the reconstructed original functional on b."""
-    return cf.scale * sum(canonical_terms(cf, b)) + cf.offset
+    return sum(canonical_terms(cf, b)) + cf.offset
 
 
 def canonical_lhv_bound(cf: CanonicalFunctional) -> float:
-    """LHV bound of the canonical coefficients (offset and scale removed).
+    """LHV bound of the canonical coefficients (offset removed).
 
     The coefficients go into the outcome-0 slots of coefficient tables whose
     other entries are zero; their folded joint table is scored by the same

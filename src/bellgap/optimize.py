@@ -118,6 +118,8 @@ class OptimizerConfig:
 class OptimizationResult:
     """Best functional found, with its score components and search trace.
 
+    functional through r are the one evaluation the significance gate read
+    of the winning candidate, or of the zero functional if none cleared it.
     engine_trace holds the final R of every restart, or one entry: on the
     exact 2x2 path the maximal R (both before the significance gate), and
     1.0, the zero functional's R, when a local model skipped the restarts.
@@ -428,8 +430,11 @@ def _local_bracket(model, best):
             if not out.size:
                 break
         x = lam @ points
-        ub = math.sqrt(x @ x)
-        if out.size:  # the minor cycle hit its cap
+        ub, last_ub = math.sqrt(x @ x), ub
+        # Stop when the minor cycle hit its cap, or when ub stopped falling:
+        # at rounding level the cycle can drop the vertex just added, and
+        # the next major step adds it again.
+        if out.size or ub >= last_ub:
             break
     return lb, ub, lam, tables
 
@@ -443,17 +448,19 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     restart i draws its start from a generator seeded by (seed, i), so runs
     are reproducible and a restart prefix is deterministic regardless of
     the total count.
-    A zero functional (R = 1 exactly) backstops every path: a candidate
-    displaces it only when its gap q - c exceeds SIGNIFICANCE_SDN error
-    units, which filters the fluke violations that finite-count noise
-    produces on perfectly local data.  Among significant candidates the
-    largest r wins, ties keeping the earliest restart.  Before the
-    restarts, _local_bracket looks for a local model within
-    SIGNIFICANCE_SDN error units of the frequencies; one bounds q - c by
-    that distance times dQ for every functional, so no restart could
-    displace the backstop, and the backstop is returned with the restarts
-    skipped.  Every field but engine_trace is then the one the restarts
-    would give.
+    Each candidate is evaluated once (q and dQ by error_propagation, C by
+    the LHV enumerator); the significance gate and the result read that
+    evaluation.  A zero functional (R = 1 exactly), evaluated only when
+    needed, backstops every path: a candidate displaces it only when its
+    gap q - c exceeds SIGNIFICANCE_SDN error units, which filters the fluke
+    violations that finite-count noise produces on perfectly local data.
+    Among significant candidates the largest r wins, ties keeping the
+    earliest restart.  Before the restarts, _local_bracket looks for a
+    local model within SIGNIFICANCE_SDN error units of the frequencies; one
+    bounds q - c by that distance times dQ for every functional, so no
+    restart could displace the backstop, and the backstop is returned with
+    the restarts skipped.  Every field but engine_trace is then the one the
+    restarts would give.
     """
     sc = counts.scenario
     dm = sc.d * sc.m
@@ -483,39 +490,40 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
             for i in range(cfg.restarts)
         )
 
-    best_s = None
-    best_r = -math.inf
+    def evaluate(s):
+        """(functional, q, dQ, C, R) of flat coefficients s: the one scoring of a candidate."""
+        functional = BellFunctional(sc, s.reshape(sc.joint_shape))
+        rep = error_propagation(functional, counts)
+        c = bound_oracle(s)[0]
+        return functional, rep.q, rep.delta_q, c, r_value(rep.q, rep.delta_q, c, dm)
+
+    best = None
     trace = []
     for s_i, r_i in runs:
         trace.append(float(r_i))
-        if r_i <= PENALTY_R:
+        # A penalized point has no R, and the zero functional (q = dQ = C
+        # = 0) cannot clear the gate; it is the backstop, scored below.
+        if r_i <= PENALTY_R or not s_i.any():
             continue
-        q_i, dq_i, _ = model.propagate(s_i)
-        c_i, _ = bound_oracle(s_i)
-        r_i = r_value(q_i, dq_i, c_i, dm)
+        cand = evaluate(s_i)
+        _, q_i, dq_i, c_i, r_i = cand
         significant = q_i - c_i > SIGNIFICANCE_SDN * dq_i and r_i > 1.0 + _BASELINE_MARGIN
-        if significant and r_i > best_r:
-            best_r = r_i
-            best_s = s_i
+        if significant and (best is None or r_i > best[4]):
+            best = cand
 
     if all(t <= PENALTY_R for t in trace):
         raise DegenerateObjectiveError(
-            "every restart hit the denominator penalty; counts admit no usable objective"
+            f"all {cfg.restarts} restarts of seed {cfg.seed} started where C + dm < "
+            f"{_DENOM_FLOOR}, so R has no finite value there; try another seed"
         )
-    if best_s is None:
-        best_s = np.zeros(n)
-
-    functional = BellFunctional(sc, best_s.reshape(sc.joint_shape))
-    rep = error_propagation(functional, counts)
-    c = lhv_bound(functional).bound
-    r = r_value(rep.q, rep.delta_q, c, dm)
+    functional, q, delta_q, c, r = best or evaluate(np.zeros(n))
     return OptimizationResult(
         functional=functional,
         r=r,
-        q=rep.q,
-        delta_q=rep.delta_q,
+        q=q,
+        delta_q=delta_q,
         c=c,
-        sdn=sdn(rep.q, rep.delta_q, c),
+        sdn=sdn(q, delta_q, c),
         is_nonlocal=r > 1.0,
         engine_trace=tuple(trace),
         # r is attained in the box, so the max only absorbs rounding

@@ -118,21 +118,23 @@ def test_criterion_2_canonical_reduction():
     coeff_err = 0.0
     bound_err = 0.0
     for alpha in ALPHA_GRID:
-        cf = canonicalize(tilted_functional(alpha), normalize=4.0)
+        # The paper's coefficients are those of the canonical form divided
+        # by 4; the offset is not scaled.
+        cf = canonicalize(tilted_functional(alpha))
         coeff_err = max(
             coeff_err,
-            np.abs(cf.joint0 - [[1.0, 1.0], [1.0, -1.0]]).max(),
-            np.abs(cf.marg_a0 - [alpha / 2.0 - 1.0, 0.0]).max(),
-            np.abs(cf.marg_b0 - [-1.0, 0.0]).max(),
+            np.abs(cf.joint0 - 4.0 * np.array([[1.0, 1.0], [1.0, -1.0]])).max(),
+            np.abs(cf.marg_a0 - 4.0 * np.array([alpha / 2.0 - 1.0, 0.0])).max(),
+            np.abs(cf.marg_b0 - 4.0 * np.array([-1.0, 0.0])).max(),
             abs(cf.offset - (2.0 - alpha)),
         )
-        bound_err = max(bound_err, abs(canonical_lhv_bound(cf) - alpha / 2.0))
+        bound_err = max(bound_err, abs(canonical_lhv_bound(cf) - 4.0 * (alpha / 2.0)))
 
     identity_err = 0.0
     rng = np.random.default_rng(1234)
     for k in range(100):
         alpha = ALPHA_GRID[k % len(ALPHA_GRID)]
-        cf = canonicalize(tilted_functional(alpha), normalize=4.0)
+        cf = canonicalize(tilted_functional(alpha))
         b = random_ns_behavior(CHSH, rng, include_quantum=True)
         identity_err = max(
             identity_err, abs(canonical_value(cf, b) - evaluate(tilted_functional(alpha), b))
@@ -232,7 +234,7 @@ def test_criterion_6_optimized_functionals_dominate(concurrence_series):
 
 
 def test_criterion_7_critical_efficiency_thresholds(concurrence_series):
-    cf = canonicalize(tilted_functional(0.0), normalize=4.0)
+    cf = canonicalize(tilted_functional(0.0))
     ideal = tilted_behavior(0.0)
     sym = critical_efficiency(cf, ideal, "symmetric").eta_a
     asym = critical_efficiency(cf, ideal, "asymmetric_b_perfect").eta_a
@@ -243,7 +245,7 @@ def test_criterion_7_critical_efficiency_thresholds(concurrence_series):
     # must tolerate detectors no better than the tilted one needs.
     dominated = True
     for row in concurrence_series:
-        cf_tilted = canonicalize(row.tilted, normalize=4.0)
+        cf_tilted = canonicalize(row.tilted)
         cf_opt = canonicalize(row.result.functional)
         for mode in ("symmetric", "asymmetric_b_perfect"):
             eta_t = critical_efficiency(cf_tilted, row.behavior, mode).eta_a

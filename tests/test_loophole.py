@@ -49,7 +49,7 @@ def closed_form_canonical_bound(cf: CanonicalFunctional) -> float:
 
 
 def chsh_canonical():
-    return canonicalize(tilted_functional(0.0), normalize=4.0)
+    return canonicalize(tilted_functional(0.0))
 
 
 class TestCanonicalFunctionalConstruction:
@@ -68,12 +68,9 @@ class TestCanonicalFunctionalConstruction:
 
     def test_rejects_bad_offset_and_scale(self):
         args = (CHSH, np.zeros((2, 2)), np.zeros(2), np.zeros(2))
-        with pytest.raises(DomainError):
-            CanonicalFunctional(*args, np.inf)
-        with pytest.raises(DomainError):
-            CanonicalFunctional(*args, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            CanonicalFunctional(*args, 0.0, -2.0)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(DomainError):
+                CanonicalFunctional(*args, bad)
 
     def test_arrays_are_frozen(self):
         cf = chsh_canonical()
@@ -92,26 +89,18 @@ class TestCanonicalFunctionalConstruction:
 class TestCanonicalize:
     @pytest.mark.parametrize("alpha", [0.0, 0.7, 1.5, 2.0])
     def test_tilted_coefficients(self, alpha):
-        cf = canonicalize(tilted_functional(alpha), normalize=4.0)
-        np.testing.assert_allclose(cf.joint0, [[1.0, 1.0], [1.0, -1.0]], atol=1e-15)
-        np.testing.assert_allclose(cf.marg_a0, [alpha / 2.0 - 1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(cf.marg_b0, [-1.0, 0.0], atol=1e-15)
+        # 4 times the paper's coefficients; the offset is not scaled.
+        cf = canonicalize(tilted_functional(alpha))
+        np.testing.assert_allclose(cf.joint0, 4.0 * np.array([[1.0, 1.0], [1.0, -1.0]]), atol=1e-15)
+        np.testing.assert_allclose(cf.marg_a0, 4.0 * np.array([alpha / 2.0 - 1.0, 0.0]), atol=1e-15)
+        np.testing.assert_allclose(cf.marg_b0, 4.0 * np.array([-1.0, 0.0]), atol=1e-15)
         np.testing.assert_allclose(cf.offset, 2.0 - alpha, atol=1e-15)
-        assert cf.scale == 4.0
-
-    def test_default_scale_is_one(self):
-        assert canonicalize(tilted_functional(0.3)).scale == 1.0
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_rejects_bad_normalize(self, bad):
-        with pytest.raises(DomainError):
-            canonicalize(tilted_functional(0.0), normalize=bad)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reconstructs_values_on_no_signaling_behaviors(self, seed):
         rng = np.random.default_rng(900 + seed)
         f = random_functional(CHSH, rng, scale=2.0)
-        cf = canonicalize(f, normalize=1.0 + rng.uniform(0.0, 3.0))
+        cf = canonicalize(f)
         for _ in range(5):
             b = random_ns_behavior(CHSH, rng, include_quantum=True)
             np.testing.assert_allclose(
@@ -130,9 +119,9 @@ class TestCanonicalize:
 class TestCanonicalTerms:
     def test_chsh_ideal_contributions(self):
         j, a, b = canonical_terms(chsh_canonical(), tilted_behavior(0.0))
-        np.testing.assert_allclose(j, (1.0 + SQRT2) / 2.0, rtol=1e-12)
-        np.testing.assert_allclose(a, -0.5, rtol=1e-12)
-        np.testing.assert_allclose(b, -0.5, rtol=1e-12)
+        np.testing.assert_allclose(j, 4.0 * (1.0 + SQRT2) / 2.0, rtol=1e-12)
+        np.testing.assert_allclose(a, 4.0 * -0.5, rtol=1e-12)
+        np.testing.assert_allclose(b, 4.0 * -0.5, rtol=1e-12)
 
     def test_value_recovers_quantum_maximum(self):
         np.testing.assert_allclose(
@@ -147,16 +136,16 @@ class TestCanonicalTerms:
 class TestCanonicalLhvBound:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0])
     def test_tilted_bound_is_half_alpha(self, alpha):
-        cf = canonicalize(tilted_functional(alpha), normalize=4.0)
-        np.testing.assert_allclose(canonical_lhv_bound(cf), alpha / 2.0, atol=1e-13)
+        # alpha / 2 for the paper's coefficients, a quarter of the canonical form's.
+        cf = canonicalize(tilted_functional(alpha))
+        np.testing.assert_allclose(canonical_lhv_bound(cf), 4.0 * (alpha / 2.0), atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_affine_relation_to_the_original_bound(self, seed):
         rng = np.random.default_rng(910 + seed)
         f = random_functional(CHSH, rng)
-        kappa = float(rng.uniform(0.5, 4.0))
-        cf = canonicalize(f, normalize=kappa)
-        reconstructed = cf.scale * canonical_lhv_bound(cf) + cf.offset
+        cf = canonicalize(f)
+        reconstructed = canonical_lhv_bound(cf) + cf.offset
         np.testing.assert_allclose(reconstructed, lhv_bound(f).bound, rtol=1e-10)
 
     def test_three_setting_scenario(self):
@@ -164,7 +153,7 @@ class TestCanonicalLhvBound:
         f = random_functional(Scenario(3, 2), rng)
         cf = canonicalize(f)
         np.testing.assert_allclose(
-            cf.scale * canonical_lhv_bound(cf) + cf.offset, lhv_bound(f).bound, rtol=1e-10
+            canonical_lhv_bound(cf) + cf.offset, lhv_bound(f).bound, rtol=1e-10
         )
 
     def test_bound_is_never_negative(self):
@@ -199,7 +188,7 @@ class TestCriticalEfficiency:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.2, 1.8])
     def test_thresholds_solve_their_equations(self, alpha):
-        cf = canonicalize(tilted_functional(alpha), normalize=4.0)
+        cf = canonicalize(tilted_functional(alpha))
         b = tilted_behavior(alpha)
         j, ta, tb = canonical_terms(cf, b)
         c = canonical_lhv_bound(cf)
@@ -210,7 +199,7 @@ class TestCriticalEfficiency:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.2, 1.8])
     def test_symmetric_needs_at_least_the_asymmetric_efficiency(self, alpha):
-        cf = canonicalize(tilted_functional(alpha), normalize=4.0)
+        cf = canonicalize(tilted_functional(alpha))
         b = tilted_behavior(alpha)
         asym = critical_efficiency(cf, b, "asymmetric_b_perfect").eta_a
         sym = critical_efficiency(cf, b, "symmetric").eta_a
@@ -230,7 +219,7 @@ class TestCriticalEfficiency:
 
     def test_behavior_on_the_bound_returns_unit_efficiency(self):
         f = tilted_functional(0.9)
-        cf = canonicalize(f, normalize=4.0)
+        cf = canonicalize(f)
         vertex = lhv_bound(f).maximizers[0]
         res = critical_efficiency(cf, strategy_behavior(vertex, CHSH), "symmetric")
         assert res.eta_a == 1.0 and res.eta_b == 1.0

@@ -4,6 +4,7 @@ On 2x2 the maximum is exact; elsewhere a local model near the data can
 rule out any significant functional, and otherwise the restarts run.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -76,7 +77,7 @@ MULTI_COUNTS = poisson_sample(
 )
 
 
-def _local_mixture(sc, rng, n_strategies):
+def _local_mixture(sc, rng, n_strategies, uniform_weight=0.0):
     """Random mixture of deterministic strategies, drawn as the benchmark draws its local data."""
     parts = [
         strategy_behavior(
@@ -87,7 +88,8 @@ def _local_mixture(sc, rng, n_strategies):
         ).p
         for _ in range(n_strategies)
     ]
-    return Behavior(sc, np.tensordot(rng.dirichlet(np.ones(n_strategies)), np.stack(parts), axes=1))
+    mix = np.tensordot(rng.dirichlet(np.ones(n_strategies)), np.stack(parts), axes=1)
+    return Behavior(sc, (1.0 - uniform_weight) * mix + uniform_weight / sc.d**2)
 
 
 # The benchmark's local 3x2 counts: a six-strategy mixture, three zero
@@ -95,6 +97,20 @@ def _local_mixture(sc, rng, n_strategies):
 # significance gate and maximize_r skips the restarts.
 LOCAL_3X2 = poisson_sample(
     _local_mixture(Scenario(3, 2), np.random.default_rng(77), 6), 100_000, seed=77
+)
+
+# Local 7x2 counts, scored on the response route: an eight-strategy mixture
+# plus 0.2 uniform, on which the bracket converges to a gap of 2e-10
+# relative, above its 1e-10 stop.
+LOCAL_7X2 = poisson_sample(
+    _local_mixture(Scenario(7, 2), np.random.default_rng(77), 8, 0.2), 100_000, seed=77
+)
+
+# Singlet CHSH counts on 3x2, Alice's and Bob's third setting repeating
+# their second: far from local, so a single restart clears the gate.
+_PAD = np.array([0, 1, 1])
+CHSH_3X2 = poisson_sample(
+    Behavior(Scenario(3, 2), tilted_behavior(0.0).p[_PAD][:, _PAD]), 10_000, seed=8
 )
 
 # Count tables of every scenario the count model is checked on; the 4x2
@@ -326,8 +342,67 @@ class TestMaximizeR:
         monkeypatch.setattr(
             optimize_module, "_run_gradient", lambda *a: (np.zeros(36), PENALTY_R)
         )
-        with pytest.raises(DegenerateObjectiveError):
+        # Only a start with C + dm below the floor is penalized, whatever
+        # the counts, so the message names the seed and the restarts.
+        with pytest.raises(DegenerateObjectiveError, match=r"all 3 restarts of seed 0 started"):
             maximize_r(MULTI_COUNTS, OptimizerConfig(restarts=3, seed=0))
+
+
+# One case per path of maximize_r: (counts, config, candidates it scores).
+PATHS = {
+    "exact_2x2": (TILTED_COUNTS, FAST, 1),
+    "skip": (LOCAL_3X2, FAST, 0),
+    "restarts": (CHSH_3X2, OptimizerConfig(restarts=2, seed=1), 2),
+}
+
+
+class TestOneEvaluation:
+    """maximize_r scores each candidate once, and the gate and the result read that scoring."""
+
+    @pytest.mark.parametrize("path", ["exact_2x2", "restarts"])
+    def test_gate_reads_the_reported_delta_q(self, monkeypatch, path):
+        counts, cfg, _ = PATHS[path]
+        assert maximize_r(counts, cfg).is_nonlocal
+        real = optimize_module.error_propagation
+
+        def inflated(f, c):
+            rep = real(f, c)
+            return dataclasses.replace(rep, delta_q=1e3 * rep.delta_q)
+
+        # With every dQ a thousandfold larger no candidate is significant,
+        # so the backstop is the answer.
+        monkeypatch.setattr(optimize_module, "error_propagation", inflated)
+        res = maximize_r(counts, cfg)
+        assert res.sdn == 0.0 and res.r == 1.0 and not res.is_nonlocal
+        assert not res.functional.joint.any()
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_each_candidate_is_scored_once(self, monkeypatch, path):
+        counts, cfg, candidates = PATHS[path]
+        bounds, propagations = [], []
+        real_bound, real_propagation = optimize_module.lhv_bound, optimize_module.error_propagation
+        monkeypatch.setattr(optimize_module, "lhv_bound", lambda f: bounds.append(f) or real_bound(f))
+        monkeypatch.setattr(
+            optimize_module, "error_propagation",
+            lambda f, c: propagations.append(f) or real_propagation(f, c),
+        )
+        res = maximize_r(counts, cfg)
+        assert bounds == []
+        # The backstop is scored only when no candidate clears the gate.
+        assert len(propagations) == candidates + (not res.is_nonlocal)
+        assert any(f is res.functional for f in propagations)
+
+    @pytest.mark.parametrize("path, route", [
+        ("exact_2x2", "_MatrixRoute"), ("restarts", "_MatrixRoute"), ("restarts", "_ResponseRoute"),
+    ])
+    def test_c_is_the_lhv_bound_bit_for_bit(self, monkeypatch, path, route):
+        counts, cfg, _ = PATHS[path]
+        if route == "_ResponseRoute":
+            monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", 0)
+        assert isinstance(lhv_module._route(counts.scenario), getattr(lhv_module, route))
+        res = maximize_r(counts, cfg)
+        assert res.is_nonlocal
+        assert res.c == lhv_bound(res.functional).bound
 
 
 class TestGradientEngineInternals:
@@ -612,6 +687,31 @@ class TestLocalBracket:
         res = maximize_r(MULTI_COUNTS, OptimizerConfig(restarts=2, seed=1))
         assert len(calls) == 2
         assert len(res.engine_trace) == 2
+
+    def test_bracket_stops_once_ub_stops_falling(self, monkeypatch):
+        # With the gate's early stop off, these counts reach a point where
+        # the minor cycle drops the vertex that each major step re-adds, so
+        # ub stays put; only a stop on ub keeps the run from the cap.
+        monkeypatch.setattr(optimize_module, "_CLEARED_SDN", math.nan)
+        model = _CountModel(LOCAL_7X2)
+        route = lhv_module._route(LOCAL_7X2.scenario)
+        assert isinstance(route, lhv_module._ResponseRoute)
+
+        def bracket():
+            calls = []
+
+            def best(direction):
+                calls.append(direction)
+                return route.best(direction)
+
+            lb, ub, _, _ = optimize_module._local_bracket(model, best)
+            return (lb, ub), len(calls)
+
+        (lb, ub), calls = bracket()
+        assert calls < optimize_module._WOLFE_MAJOR
+        assert ub - lb <= 1e-9 * ub
+        monkeypatch.setattr(optimize_module, "_WOLFE_MAJOR", 100)
+        assert bracket()[0] == (lb, ub)
 
     def test_zero_counts_that_exclude_every_strategy_leave_no_certificate(self, monkeypatch):
         # Alice's outcome on setting 0 has zero counts for a = 0 against
