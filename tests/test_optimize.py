@@ -6,6 +6,10 @@ rule out any significant functional, and otherwise the restarts run.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,35 @@ CERTIFY_2X2 = ALL_2X2 | {
     f"uniform{seed}": poisson_sample(uniform_behavior(CHSH), 100_000, seed=seed)
     for seed in (1024, 1228, 1019, 1053, 1095)
 }
+
+# R of the five acceptance sets from the exact solve at SLSQP ftol = 1e-14
+# (one BLAS thread); every one is nonlocal.
+ACCEPTANCE_R = {
+    0.193: 1.004679685114502,
+    0.375: 1.0227533228958454,
+    0.582: 1.0528258449718362,
+    0.835: 1.1013625882916733,
+    0.986: 1.135126330360257,
+}
+
+# A script that prints SLSQP's nit and nfev, one line per exact solve, on
+# the c = 0.193 acceptance counts and on uniform counts of seeds 1000-1002.
+SOLVER_STEPS_SCRIPT = """
+import scipy.optimize
+from bellgap import (Scenario, alpha_for_concurrence, maximize_r, poisson_sample,
+                     tilted_behavior, uniform_behavior)
+sols = []
+real = scipy.optimize.minimize
+def spy(*args, **kwargs):
+    sols.append(real(*args, **kwargs))
+    return sols[-1]
+scipy.optimize.minimize = spy
+maximize_r(poisson_sample(tilted_behavior(alpha_for_concurrence(0.193)), 100_000, seed=77))
+for seed in (1000, 1001, 1002):
+    maximize_r(poisson_sample(uniform_behavior(Scenario(2, 2)), 100_000, seed=seed))
+for sol in sols:
+    print(sol.nit, sol.nfev)
+"""
 
 # maximize_r keeps the restart search outside 2x2, so restart semantics
 # are pinned on a 3x2 table.  Its distance to the local polytope, 3.22
@@ -539,6 +572,47 @@ class TestExactPath:
             monkeypatch.setattr(scipy.optimize, name, spy(name))
         maximize_r(ACCEPTANCE_COUNTS[0.193], FAST)
         assert calls == ["minimize"]
+
+    def test_solver_stops_where_r_stops_changing(self, monkeypatch):
+        # Under ftol = 1e-14 SLSQP's stop test read rounding noise: seeds
+        # 1000-1019 took 1 061 evaluations (default BLAS threads) or 1 207
+        # (one thread), and c = 0.193 took 102 or 52.  Under ftol = 1e-12
+        # they take 703 and 52 under either setting; the bound of 750 leaves
+        # 7% above the 703.
+        import scipy.optimize
+
+        sols = []
+        real = scipy.optimize.minimize
+
+        def spy(*args, **kwargs):
+            sols.append(real(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        for seed in range(1000, 1020):
+            maximize_r(poisson_sample(uniform_behavior(CHSH), 100_000, seed=seed), FAST)
+        assert sum(sol.nfev for sol in sols) <= 750
+        sols.clear()
+        for conc, r in ACCEPTANCE_R.items():
+            res = maximize_r(ACCEPTANCE_COUNTS[conc], FAST)
+            assert res.is_nonlocal
+            assert abs(res.r - r) <= 1e-12
+        assert sols[0].nfev <= 60
+
+    def test_solver_steps_do_not_depend_on_blas_threads(self):
+        # The last digits of R still may (SDN by 2.7e-11 at c = 0.193); the
+        # number of SLSQP iterations and evaluations may not.
+        src = str(Path(optimize_module.__file__).resolve().parents[1])
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", SOLVER_STEPS_SCRIPT],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 4
 
     @pytest.mark.parametrize("name", NONLOCAL_2X2)
     def test_certificate_is_tight_on_nonlocal_data(self, name):
