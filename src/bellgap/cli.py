@@ -29,7 +29,7 @@ from . import __version__, io
 from .errors import DomainError, NumericalError, SchemaError, ValidationError
 from .lhv import lhv_bound
 from .loophole import EFFICIENCY_MODES, canonicalize, critical_efficiency
-from .optimize import OptimizerConfig, maximize_r, r_value, sdn
+from .optimize import OptimizerConfig, maximize_r, sdn
 from .quantum import born_behavior, concurrence, tilted_functional, tilted_realization
 from .stats import error_propagation, frequencies, kl_divergence, ns_project, poisson_sample
 
@@ -60,21 +60,8 @@ def _efficiency_blocks(name: str, f, behavior) -> list[dict]:
 
 
 def _report_payload(counts_path, counts, result, cfg: OptimizerConfig) -> dict:
-    """The optimize report of one run, ready for serialization.
-
-    The functional block carries (q, delta_q, c, sdn, r, nonlocal); r is
-    re-checked against (q - delta_q + dm)/(c + dm) within 1e-9, and the
-    nonlocal flag against r, so a report can never ship an inconsistent
-    block.
-    """
+    """The optimize report of one run, ready for serialization."""
     sc = counts.scenario
-    want = r_value(result.q, result.delta_q, result.c, sc.d * sc.m)
-    if abs(result.r - want) > 1e-9 * max(1.0, abs(want)):
-        raise DomainError(
-            f"optimized functional: r {result.r!r} inconsistent with its (q, delta_q, c)"
-        )
-    if result.is_nonlocal != (result.r > 1.0):
-        raise DomainError(f"optimized functional: nonlocal flag inconsistent with r {result.r!r}")
     block = {
         "name": "optimized",
         "q": result.q,

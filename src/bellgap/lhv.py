@@ -9,9 +9,11 @@ joint tables only.  Two equivalent enumeration routes are used: small
 scenarios precompute the full strategy-table matrix, larger ones
 enumerate Alice's assignments and exploit that Bob's best response
 decomposes per setting.  Both enumerate in lexicographic order on
-(assign_a, assign_b).  One cached enumerator per scenario picks the route;
-the bound, its maximizers and the optimizer's bound oracle all go through
-it.
+(assign_a, assign_b).  One cached enumerator per scenario picks the route.
+Each route has two methods: ``bound(joint, tau)``, the exact bound with
+its first maximizer's table at tau <= 0 and the log-sum-exp softening
+above, which the optimizer calls as its bound oracle; and
+``maximizers(joint)``, every maximizer up to ties, behind ``lhv_bound``.
 """
 
 from __future__ import annotations
@@ -89,11 +91,16 @@ class _MatrixRoute:
         self.tables_j = joint.reshape(n, -1)
         self.tables_j.setflags(write=False)
 
-    def best(self, joint):
-        """(bound, callable giving the flat joint table of the lexicographically first maximizer)."""
+    def bound(self, joint, tau=0.0):
+        """(bound, callable giving its flat gradient table); see make_joint_bound_oracle."""
         scores = self.tables_j @ joint
-        k = int(np.argmax(scores))
-        return float(scores[k]), lambda: self.tables_j[k]
+        if tau <= 0.0:
+            k = int(np.argmax(scores))
+            return float(scores[k]), lambda: self.tables_j[k]
+        peak = scores.max()
+        w = np.exp((scores - peak) / tau)
+        z = w.sum()
+        return float(peak + tau * np.log(z)), lambda: self.tables_j.T @ (w / z)
 
     def maximizers(self, joint):
         scores = self.tables_j @ joint
@@ -104,13 +111,6 @@ class _MatrixRoute:
             DeterministicStrategy(tuple(self.assign[k // n_side]), tuple(self.assign[k % n_side]))
             for k in hits
         ]
-
-    def smooth(self, joint, tau):
-        scores = self.tables_j @ joint
-        peak = scores.max()
-        w = np.exp((scores - peak) / tau)
-        z = w.sum()
-        return float(peak + tau * np.log(z)), lambda: self.tables_j.T @ (w / z)
 
 
 class _ResponseRoute:
@@ -132,18 +132,31 @@ class _ResponseRoute:
         resp = joint.reshape(self.shape).transpose(0, 2, 1, 3)[xs[None, :], assign].sum(axis=1)
         return resp.max(axis=2).sum(axis=1), resp
 
-    def best(self, joint):
-        """(bound, callable giving the flat joint table of the lexicographically first maximizer)."""
+    def bound(self, joint, tau=0.0):
+        """(bound, callable giving its flat gradient table); see make_joint_bound_oracle."""
         scores, resp = self._scores(joint)
-        i = int(np.argmax(scores))
+        if tau <= 0.0:
+            i = int(np.argmax(scores))
 
-        def first_table():
-            best_b = resp[i].argmax(axis=1)
-            table = np.zeros(self.shape)
-            table[self.xs[:, None], self.xs[None, :], self.assign[i][:, None], best_b[None, :]] = 1.0
-            return table.ravel()
+            def first_table():
+                best_b = resp[i].argmax(axis=1)
+                table = np.zeros(self.shape)
+                table[self.xs[:, None], self.xs[None, :], self.assign[i][:, None], best_b[None, :]] = 1.0
+                return table.ravel()
 
-        return float(scores[i]), first_table
+            return float(scores[i]), first_table
+        # The pair sum factorizes over Bob's settings for fixed Alice
+        # assignment, so the log-sum-exp needs only d^m * m * d work.
+        peak_b = resp.max(axis=2, keepdims=True)
+        w_b = np.exp((resp - peak_b) / tau)
+        z_b = w_b.sum(axis=2, keepdims=True)
+        per_alice = (peak_b[:, :, 0] + tau * np.log(z_b[:, :, 0])).sum(axis=1)
+        peak = per_alice.max()
+        w_a = np.exp((per_alice - peak) / tau)
+        z_a = w_a.sum()
+        return float(peak + tau * np.log(z_a)), lambda: np.einsum(
+            "i,ixa,iyb->xyab", w_a / z_a, self.a_hot, w_b / z_b
+        ).ravel()
 
     def maximizers(self, joint):
         scores, resp = self._scores(joint)
@@ -160,22 +173,6 @@ class _ResponseRoute:
                         DeterministicStrategy(tuple(self.assign[i]), tuple(int(b) for b in choice))
                     )
         return bound, found
-
-    def smooth(self, joint, tau):
-        _, resp = self._scores(joint)
-        # The pair sum factorizes over Bob's settings for fixed Alice
-        # assignment, so the log-sum-exp needs only d^m * m * d work.
-        peak_b = resp.max(axis=2, keepdims=True)
-        w_b = np.exp((resp - peak_b) / tau)
-        z_b = w_b.sum(axis=2, keepdims=True)
-        per_alice = (peak_b[:, :, 0] + tau * np.log(z_b[:, :, 0])).sum(axis=1)
-        peak = per_alice.max()
-        w_a = np.exp((per_alice - peak) / tau)
-        z_a = w_a.sum()
-        bound = peak + tau * np.log(z_a)
-        return float(bound), lambda: np.einsum(
-            "i,ixa,iyb->xyab", w_a / z_a, self.a_hot, w_b / z_b
-        ).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -223,11 +220,11 @@ def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> Be
 
 
 def make_joint_bound_oracle(scenario: Scenario):
-    """Fast evaluator s_flat, tau -> (bound, gradient) for joint-only coefficients.
+    """The scenario's bound method: s_flat, tau=0.0 -> (bound, gradient) for joint-only coefficients.
 
     gradient is a zero-argument callable that forms the flat gradient
     table, so a caller that discards the point pays only for the bound.
-    At tau = 0 the bound is the exact LHV maximum and the gradient is the
+    At tau <= 0 the bound is the exact LHV maximum and the gradient is the
     lexicographically first maximizer's table.  For tau > 0 both are
     replaced by the log-sum-exp softening
 
@@ -239,10 +236,4 @@ def make_joint_bound_oracle(scenario: Scenario):
     are cached per scenario; the returned gradient table must not be
     mutated.
     """
-    route = _route(scenario)
-    best, smooth = route.best, route.smooth
-
-    def oracle(s_flat: np.ndarray, tau: float = 0.0):
-        return best(s_flat) if tau <= 0.0 else smooth(s_flat, tau)
-
-    return oracle
+    return _route(scenario).bound

@@ -152,7 +152,7 @@ def canonical_lhv_bound(cf: CanonicalFunctional) -> float:
     joint[:, :, 0, 0] = cf.joint0
     marg_a, marg_b = np.zeros(sc.marginal_shape), np.zeros(sc.marginal_shape)
     marg_a[:, 0], marg_b[:, 0] = cf.marg_a0, cf.marg_b0
-    return _route(sc).best(_fold(joint, marg_a, marg_b).ravel())[0]
+    return _route(sc).bound(_fold(joint, marg_a, marg_b).ravel())[0]
 
 
 def critical_efficiency(

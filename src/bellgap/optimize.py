@@ -28,11 +28,14 @@ boundary C + dm -> 0+ while the numerator can stay positive, so R is
 unbounded above: on chained-Bell 3x2 counts (concurrence 0.582, N = 1e5 per
 setting, sampling seed 77), s = -1 + 0.3003 g, with g the chained
 functional shifted to be nonnegative per block, has C + dm = 0.003 and
-R = 11.2.  The restart search does not reach this region and reports
-R = 1.021 there; an exact maximizer would chase the pole.  Shifting by m^2
-instead of dm removes the pole, but the exact optimum of that ratio is a
-weaker witness on the same data: the SDN of the chained 3x2 counts falls
-from 59.91 to 53.68, and of the chained 4x2 counts from 75.14 to 64.04.
+R = 11.2.  The restart search reports R = 1.021 there, but it can reach
+the pole elsewhere: on 3x2 counts with a zero-count row in each of two
+blocks (the zero-count test of _local_bracket), two restarts of seed 1 end
+at C + dm = 3.0e-5 with R = 34 214 and SDN 172.  An exact maximizer would
+always chase the pole.  Shifting by m^2 instead of dm removes the pole,
+but the exact optimum of that ratio is a weaker witness on the same data:
+the SDN of the chained 3x2 counts falls from 59.91 to 53.68, and of the
+chained 4x2 counts from 75.14 to 64.04.
 And on local 3x3 counts the exact optimum clears the SIGNIFICANCE_SDN gate
 (R = 1.0048 at SDN 3.65) where the restart search stays below R = 1, so the
 gate must be calibrated for larger scenarios before they are solved
@@ -116,27 +119,38 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
-    """Best functional found, with its score components and search trace.
+    """Best functional found, with what was measured of it and the search trace.
 
-    functional through r are the one evaluation the significance gate read
-    of the winning candidate, or of the zero functional if none cleared it.
-    engine_trace holds the final R of every restart, or one entry: on the
-    exact 2x2 path the maximal R (both before the significance gate), and
-    1.0, the zero functional's R, when a local model skipped the restarts.
-    r_upper is an upper bound on max R over the box: on the exact path the
-    dual bound of the Charnes-Cooper program at SLSQP's KKT multipliers,
-    math.inf on the other two.
+    q, delta_q and c are the one evaluation the significance gate read of
+    the winning candidate, or of the zero functional if none cleared it;
+    r, sdn and is_nonlocal derive from them.  engine_trace holds the final
+    R of every restart, or one entry: on the exact 2x2 path the maximal R
+    (both before the significance gate), and 1.0, the zero functional's R,
+    when a local model skipped the restarts.  r_upper is an upper bound on
+    max R over the box: on the exact path the dual bound of the
+    Charnes-Cooper program at SLSQP's KKT multipliers, math.inf on the
+    other two.
     """
 
     functional: BellFunctional
-    r: float
     q: float
     delta_q: float
     c: float
-    sdn: float
-    is_nonlocal: bool
     engine_trace: tuple[float, ...]
     r_upper: float
+
+    @property
+    def r(self) -> float:
+        sc = self.functional.scenario
+        return r_value(self.q, self.delta_q, self.c, sc.d * sc.m)
+
+    @property
+    def sdn(self) -> float:
+        return sdn(self.q, self.delta_q, self.c)
+
+    @property
+    def is_nonlocal(self) -> bool:
+        return self.r > 1.0
 
 
 def sdn(q: float, delta_q: float, c: float) -> float:
@@ -247,6 +261,8 @@ def _run_gradient(model, bound_oracle, dm, s0):
         """Backtracking ascent from the scored point s, accepting only improving steps."""
         step = _STEP_INIT
         for _ in range(max_iters):
+            # A point accepted at tau > 0 can be penalized at a lower tau:
+            # C_tau >= C, so its exact C + dm may fall below _DENOM_FLOOR.
             if parts is None:
                 break
             ls, dq, num, den, grad_c = parts
@@ -364,7 +380,7 @@ def _charnes_cooper(model, tables, dm):
     return s, r_value(q, dq, float((tables @ s).max()), dm), float(r_upper)
 
 
-def _local_bracket(model, best):
+def _local_bracket(model, bound_oracle):
     """Bracket lb <= D <= ub on the distance D from the data to the local polytope.
 
     D = min ||x|| over x = W (f - T^T lam), lam the weights of a local model
@@ -376,9 +392,9 @@ def _local_bracket(model, best):
         q - C <= ||x|| ||L s|| = ub dQ.
 
     Wolfe's (1976) minimum-norm-point method finds D over conv{W(T_k - f)},
-    with best, the LHV enumerator, as its oracle: it gets -W x, and -1e9 on
-    zero-count entries.  ub = ||x|| at the current point, and lb the largest
-    min_k <x/||x||, W(T_k - f)> seen so far.  The minor cycle solves least
+    with maximize_r's bound oracle at tau = 0 as its oracle: it gets -W x,
+    and -1e9 on zero-count entries.  ub = ||x|| at the current point, and
+    lb the largest min_k <x/||x||, W(T_k - f)> seen so far.  The minor cycle solves least
     squares on differences from a base point, not the Gram system, which
     would square the conditioning.  The run stops once ub <= _CLEARED_SDN
     or lb > _CLEARED_SDN, that is once the side of the gate that D is on
@@ -393,7 +409,7 @@ def _local_bracket(model, best):
 
     def vertex(direction):
         """(table, W(table - f)) of the best strategy, or None if it needs a zero-count entry."""
-        table = best(direction + blocked)[1]()
+        table = bound_oracle(direction + blocked)[1]()
         return None if table[~pos].any() else (table, w * (table - f))
 
     start = vertex(f)
@@ -482,7 +498,7 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     if (sc.m, sc.d) == (2, 2):
         s_x, r_x, r_upper = _charnes_cooper(model, _route(sc).tables_j, dm)
         runs = [(s_x, r_x)]
-    elif _local_bracket(model, _route(sc).best)[1] <= _CLEARED_SDN:
+    elif _local_bracket(model, bound_oracle)[1] <= _CLEARED_SDN:
         runs = [(np.zeros(n), 1.0)]
     else:
         seed = cfg.seed % 2**63
@@ -520,16 +536,6 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
             f"{_DENOM_FLOOR}, so R has no finite value there; try another seed"
         )
     functional, q, delta_q, c, r = best or evaluate(np.zeros(n))
-    return OptimizationResult(
-        functional=functional,
-        r=r,
-        q=q,
-        delta_q=delta_q,
-        c=c,
-        sdn=sdn(q, delta_q, c),
-        is_nonlocal=r > 1.0,
-        engine_trace=tuple(trace),
-        # r is attained in the box, so the max only absorbs rounding
-        # between the solver's and the final evaluation of R.
-        r_upper=max(r_upper, r),
-    )
+    # r is attained in the box, so the max only absorbs rounding between
+    # the solver's and the final evaluation of R.
+    return OptimizationResult(functional, q, delta_q, c, tuple(trace), max(r_upper, r))

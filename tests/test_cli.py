@@ -11,14 +11,17 @@ import pytest
 
 from bellgap import (
     BellFunctional,
+    CountTable,
     OptimizerConfig,
     Scenario,
+    concurrence,
     io,
     lhv_bound,
     ns_residual,
     poisson_sample,
     tilted_behavior,
     tilted_functional,
+    tilted_realization,
     uniform_behavior,
 )
 from bellgap.cli import build_parser, main
@@ -262,6 +265,21 @@ class TestOptimize:
         assert value_of(lines[0]) == 1.0
         assert lines[1] == "nonlocal = false"
 
+    def test_efficiency_failures_are_reported_not_raised(self, tmp_path, capsys):
+        # Local three-outcome counts: the zero functional wins, and neither
+        # efficiency mode has a canonical form for d = 3.
+        counts = tmp_path / "local_3x3.json"
+        io.write_counts(counts, CountTable(Scenario(3, 3), np.full((3, 3, 3, 3), 1000)))
+        out = tmp_path / "r.json"
+        assert main(["optimize", str(counts), "--seed", "1", "--restarts", "1",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "nonlocal = false"
+        blocks = io.read_json(out)["efficiencies"]
+        assert [b["mode"] for b in blocks] == ["asymmetric_b_perfect", "symmetric"]
+        for block in blocks:
+            assert set(block) == {"functional", "mode", "error"}
+            assert "two outcomes" in block["error"]
+
 
 class TestEfficiency:
     def test_exact_behavior_hits_the_known_threshold(self, data_dir, capsys):
@@ -319,6 +337,16 @@ class TestReport:
         assert main(["report", str(data_dir / "chsh_counts.json"), "--seed", "123",
                      "--restarts", "2", "--projected",
                      "--out-dir", str(tmp_path / "proj")]) == 0
+
+    def test_concurrence_defaults_to_the_alphas_state(self, data_dir, tmp_path):
+        counts, meta = io.read_counts(data_dir / "tilted_counts.json")
+        path = tmp_path / "alpha_only.json"
+        io.write_counts(path, counts, {"alpha": meta["alpha"]})
+        assert main(["report", str(path), "--seed", "1", "--restarts", "2",
+                     "--out-dir", str(tmp_path / "x")]) == 0
+        rows = (tmp_path / "x" / "sdn_vs_concurrence.csv").read_text().splitlines()
+        expect = concurrence(tilted_realization(meta["alpha"]).theta)
+        assert float(rows[1].split(",")[0]) == expect
 
     def test_counts_without_metadata_rejected(self, data_dir, tmp_path, capsys):
         code = main(["report", str(data_dir / "uniform_counts.json"), "--seed", "1",

@@ -55,6 +55,23 @@ class TestBehavior:
         with pytest.raises(ValidationError):
             Behavior(Scenario(2, 2), p)
 
+    def test_entries_outside_unit_interval_rejected(self):
+        # Every block still sums to one; only the range check can object.
+        p = np.full((2, 2, 2, 2), 0.25)
+        p[0, 0, 0, 0], p[0, 0, 0, 1] = 1.5, -1.0
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            Behavior(Scenario(2, 2), p)
+
+    def test_negative_setting_weights_rejected(self):
+        p = uniform_behavior(Scenario(2, 2)).p
+        with pytest.raises(ValidationError, match="nonnegative"):
+            Behavior(Scenario(2, 2), p, np.array([[0.5, 0.5], [0.25, -0.25]]))
+
+    def test_setting_weights_must_sum_to_one(self):
+        p = uniform_behavior(Scenario(2, 2)).p
+        with pytest.raises(ValidationError, match="not 1"):
+            Behavior(Scenario(2, 2), p, np.full((2, 2), 0.5))
+
     def test_tolerance_is_adjustable(self):
         p = np.full((2, 2, 2, 2), 0.25)
         p[0, 0, 0, 0] += 5e-7

@@ -273,6 +273,12 @@ class TestInfeasibleBranches:
         with pytest.raises(InfeasibleEfficiencyError, match="no efficiency root"):
             critical_efficiency(cf, self.detected_behavior(), "symmetric")
 
+    def test_symmetric_negative_discriminant(self, monkeypatch):
+        cf = self.single_setting(1.0, 0.0, 0.0)  # J = 1, A + B = 0
+        self.force_bound(monkeypatch, -1.0)  # (A + B)^2 + 4 J C = -4
+        with pytest.raises(InfeasibleEfficiencyError, match="no real root"):
+            critical_efficiency(cf, self.detected_behavior(), "symmetric")
+
     def test_symmetric_linear_case_solves(self, monkeypatch):
         cf = self.single_setting(0.0, 1.0, 1.0)  # no eta^2 term
         self.force_bound(monkeypatch, 1.0)

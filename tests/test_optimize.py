@@ -660,8 +660,8 @@ class TestExactPath:
 
 def _bracket(counts):
     """_local_bracket as maximize_r runs it."""
-    best = lhv_module._route(counts.scenario).best
-    return optimize_module._local_bracket(_CountModel(counts), best)
+    oracle = make_joint_bound_oracle(counts.scenario)
+    return optimize_module._local_bracket(_CountModel(counts), oracle)
 
 
 def _scored_sdn(counts, s_flat):
@@ -736,6 +736,34 @@ class TestLocalBracket:
         assert not res.functional.joint.any()
         assert res.r_upper == math.inf
 
+    def test_bracket_calls_go_through_the_bound_oracle(self, monkeypatch):
+        # maximize_r hands _local_bracket the oracle it builds, so a wrapper
+        # of make_joint_bound_oracle sees every call the bracket makes.
+        calls, in_bracket = [], []
+        real_oracle, real_bracket = make_joint_bound_oracle, optimize_module._local_bracket
+
+        def counted_oracle(scenario):
+            oracle = real_oracle(scenario)
+
+            def counted(*args):
+                calls.append(args)
+                return oracle(*args)
+
+            return counted
+
+        def bracket(model, oracle):
+            before = len(calls)
+            result = real_bracket(model, oracle)
+            in_bracket.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(optimize_module, "make_joint_bound_oracle", counted_oracle)
+        monkeypatch.setattr(optimize_module, "_local_bracket", bracket)
+        assert maximize_r(LOCAL_3X2, FAST).engine_trace == (1.0,)
+        assert len(in_bracket) == 1 and in_bracket[0] > 1
+        # Besides the bracket's calls, the backstop's one scoring.
+        assert len(calls) == in_bracket[0] + 1
+
     def test_skip_writes_the_bytes_of_the_restart_search(self, tmp_path, monkeypatch):
         counts_path = tmp_path / "local_3x2.json"
         io.write_counts(counts_path, LOCAL_3X2)
@@ -776,7 +804,7 @@ class TestLocalBracket:
 
             def best(direction):
                 calls.append(direction)
-                return route.best(direction)
+                return route.bound(direction)
 
             lb, ub, _, _ = optimize_module._local_bracket(model, best)
             return (lb, ub), len(calls)
