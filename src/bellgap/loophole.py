@@ -168,8 +168,9 @@ def critical_efficiency(
         symmetric (eta common):  eta^2 J + eta (A + B) = C
 
     with J, A, B the canonical contributions of b and C the canonical
-    bound.  A behavior exactly at the bound returns eta = 1; the smaller
-    of two admissible symmetric roots is the minimal efficiency.
+    bound.  A behavior exactly at the bound returns eta = 1, except on the
+    zero functional, which no behavior violates; the smaller of two
+    admissible symmetric roots is the minimal efficiency.
     """
     if mode not in EFFICIENCY_MODES:
         raise DomainError(f"mode must be one of {EFFICIENCY_MODES}, got {mode!r}")
@@ -182,6 +183,9 @@ def critical_efficiency(
             f"behavior does not violate the canonical bound: value {j + ta + tb!r} <= {c!r}"
         )
     if gap <= tol:
+        # Every behavior is on the bound 0 of the zero functional.
+        if not (cf.joint0.any() or cf.marg_a0.any() or cf.marg_b0.any()):
+            raise NoViolationError("the canonical functional is zero; no behavior violates it")
         return EfficiencyResult(1.0, 1.0, mode)
 
     if mode == "asymmetric_b_perfect":
@@ -206,6 +210,9 @@ def critical_efficiency(
             )
         roots = [c / beta]
     else:
+        # Unreachable with the enumerated bound: the all-outcome-1 strategy
+        # scores 0, so c >= 0, and eta^2 j + eta beta - c is then -c <= 0 at
+        # eta = 0 and the gap > 0 at eta = 1, so it has a real root.
         disc = beta * beta + 4.0 * j * c
         if disc < -_DISC_TOL:
             raise InfeasibleEfficiencyError(

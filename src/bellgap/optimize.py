@@ -393,8 +393,9 @@ def _local_bracket(model, bound_oracle):
 
     Wolfe's (1976) minimum-norm-point method finds D over conv{W(T_k - f)},
     with maximize_r's bound oracle at tau = 0 as its oracle: it gets -W x,
-    and -1e9 on zero-count entries.  ub = ||x|| at the current point, and
-    lb the largest min_k <x/||x||, W(T_k - f)> seen so far.  The minor cycle solves least
+    and on zero-count entries a block that outweighs every other entry.
+    ub = ||x|| at the current point, and lb the largest
+    min_k <x/||x||, W(T_k - f)> seen so far.  The minor cycle solves least
     squares on differences from a base point, not the Gram system, which
     would square the conditioning.  The run stops once ub <= _CLEARED_SDN
     or lb > _CLEARED_SDN, that is once the side of the gate that D is on
@@ -405,15 +406,17 @@ def _local_bracket(model, bound_oracle):
     pos = model.root > 0
     w = np.divide(1.0, model.root, out=np.zeros(model.root.size), where=pos)
     f = model.freq_flat
-    blocked = np.where(pos, 0.0, -1e9)
 
     def vertex(direction):
-        """(table, W(table - f)) of the best strategy, or None if it needs a zero-count entry."""
-        table = bound_oracle(direction + blocked)[1]()
-        return None if table[~pos].any() else (table, w * (table - f))
+        """(table, W(table - f)) of the best strategy, one without zero-count entries if any is."""
+        # Scores on positive-count entries lie within sum |direction| of 0, so a
+        # strategy taking this block scores below every one that avoids it.
+        block = -(1.0 + 2.0 * np.abs(direction[pos]).sum())
+        table = bound_oracle(np.where(pos, direction, block))[1]()
+        return table, w * (table - f)
 
     start = vertex(f)
-    if start is None:
+    if start[0][~pos].any():
         return 0.0, math.inf, np.ones(0), np.zeros((0, f.size))
     tables, points, lam = start[0][None, :], start[1][None, :], np.ones(1)
     x, lb = points[0], 0.0
@@ -422,8 +425,6 @@ def _local_bracket(model, bound_oracle):
         if ub <= _CLEARED_SDN:
             break
         new = vertex(-w * x)
-        if new is None:
-            break
         lb = max(lb, float(x @ new[1]) / ub)
         converged = ub - lb <= 1e-10 * ub or (tables == new[0]).all(axis=1).any()
         if lb > _CLEARED_SDN or converged:

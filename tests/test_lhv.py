@@ -53,10 +53,8 @@ def eager_gradient(route, s: np.ndarray, tau: float) -> np.ndarray:
     scores, resp = route._scores(s)
     if tau <= 0.0:
         i = int(np.argmax(scores))
-        table = np.zeros(route.shape)
-        best_b = resp[i].argmax(axis=1)
-        table[route.xs[:, None], route.xs[None, :], route.assign[i][:, None], best_b[None, :]] = 1.0
-        return table.ravel()
+        hot = np.eye(route.shape[2])
+        return np.einsum("xa,yb->xyab", hot[route.assign[i]], hot[resp[i].argmax(axis=1)]).ravel()
     peak_b = resp.max(axis=2, keepdims=True)
     w_b = np.exp((resp - peak_b) / tau)
     z_b = w_b.sum(axis=2, keepdims=True)
@@ -177,6 +175,21 @@ class TestLhvBound:
 class TestBestResponsePath:
     """The per-setting best-response route must agree with the matrix route."""
 
+    def test_route_choice_at_the_matrix_limit(self):
+        # 5x2 has 1024 strategy pairs; 6x2 and 3x4 have 4096.
+        assert isinstance(lhv_module._route(Scenario(5, 2)), lhv_module._MatrixRoute)
+        for sc in (Scenario(6, 2), Scenario(3, 4)):
+            assert isinstance(lhv_module._route(sc), lhv_module._ResponseRoute), sc
+
+    def test_matrix_rows_are_the_strategy_tables_in_order(self):
+        sc = Scenario(3, 2)
+        route = lhv_module._route(sc)
+        tables, assign = route.tables_j, route.assign
+        assert tables.flags.c_contiguous and not tables.flags.writeable
+        for k, row in enumerate(tables):
+            strat = DeterministicStrategy(assign[k // len(assign)], assign[k % len(assign)])
+            np.testing.assert_array_equal(row, strategy_behavior(strat, sc).p.ravel())
+
     @pytest.mark.parametrize("seed", range(6))
     def test_bound_and_maximizers_agree(self, seed, monkeypatch):
         rng = np.random.default_rng(200 + seed)
@@ -246,7 +259,9 @@ def _relabeled(f: BellFunctional, kind: str, rng) -> BellFunctional:
 class TestRelabelingInvariance:
     """Relabeling outcomes, settings or parties permutes the strategies."""
 
-    @pytest.mark.parametrize("route_limit", [lhv_module._MATRIX_PATH_LIMIT, 0])
+    # Limits 4096 and 0 send every scenario below to the matrix route and
+    # to the response route.
+    @pytest.mark.parametrize("route_limit", [4096, 0])
     @pytest.mark.parametrize("kind", ["outcomes", "settings", "parties"])
     def test_bound_and_maximizer_count(self, kind, route_limit, monkeypatch):
         monkeypatch.setattr(lhv_module, "_MATRIX_PATH_LIMIT", route_limit)

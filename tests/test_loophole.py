@@ -228,6 +228,14 @@ class TestCriticalEfficiency:
         with pytest.raises(NoViolationError):
             critical_efficiency(chsh_canonical(), uniform_behavior(CHSH), "symmetric")
 
+    @pytest.mark.parametrize("mode", ["asymmetric_b_perfect", "symmetric"])
+    def test_zero_functional_is_no_violation(self, mode):
+        # Every behavior sits on the zero functional's bound, the case that
+        # would otherwise give eta = 1.
+        cf = CanonicalFunctional(CHSH, np.zeros((2, 2)), np.zeros(2), np.zeros(2), 0.0)
+        with pytest.raises(NoViolationError, match="zero"):
+            critical_efficiency(cf, tilted_behavior(0.0), mode)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
             critical_efficiency(chsh_canonical(), tilted_behavior(0.0), "both_limited")

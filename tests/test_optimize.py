@@ -736,6 +736,27 @@ class TestLocalBracket:
         assert not res.functional.joint.any()
         assert res.r_upper == math.inf
 
+    def test_zero_count_block_outweighs_large_counts(self, monkeypatch):
+        # Three strategies mixed and sampled at N = 1e9 per setting: the
+        # oracle's direction reaches ~1e9 per entry, so a fixed block on the
+        # 16 zero-count entries would be outscored and the bracket would
+        # stop at ub ~ 7.5e4.  A block that scales with the direction keeps
+        # the model on positive counts, at D = 2.29.
+        sc = Scenario(3, 2)
+        rng = np.random.default_rng(4)
+        picks = lhv_module._route(sc).tables_j[rng.choice(64, 3, replace=False)]
+        p = (rng.dirichlet(np.ones(3)) @ picks).reshape(sc.joint_shape)
+        counts = poisson_sample(Behavior(sc, p), 10**9, seed=4)
+        _, ub, _, tables = _bracket(counts)
+        assert ub <= SIGNIFICANCE_SDN
+        assert not tables[:, (counts.c == 0).ravel()].any()
+
+        def no_restarts(*args):
+            raise AssertionError("the restart search ran")
+
+        monkeypatch.setattr(optimize_module, "_run_gradient", no_restarts)
+        assert maximize_r(counts, FAST).engine_trace == (1.0,)
+
     def test_bracket_calls_go_through_the_bound_oracle(self, monkeypatch):
         # maximize_r hands _local_bracket the oracle it builds, so a wrapper
         # of make_joint_bound_oracle sees every call the bracket makes.
@@ -781,6 +802,19 @@ class TestLocalBracket:
         searched = optimize("searched")
         assert len(calls) == 2
         assert searched == skipped
+
+    def test_local_counts_report_no_efficiency(self, tmp_path):
+        # The zero functional wins on local counts; it has no detection
+        # efficiency, so both blocks carry an error and the run succeeds.
+        counts_path, out = tmp_path / "local_3x2.json", tmp_path / "r.json"
+        io.write_counts(counts_path, LOCAL_3X2)
+        assert main(["optimize", str(counts_path), "--seed", "123", "--restarts", "2",
+                     "--out", str(out)]) == 0
+        blocks = io.read_json(out)["efficiencies"]
+        assert [b["mode"] for b in blocks] == ["asymmetric_b_perfect", "symmetric"]
+        for block in blocks:
+            assert set(block) == {"functional", "mode", "error"}
+            assert "zero" in block["error"]
 
     def test_no_skip_beyond_the_gate(self, monkeypatch):
         # D = 3.22 on these counts: the bracket proves it exceeds the gate.
