@@ -61,7 +61,6 @@ def _efficiency_blocks(name: str, f, behavior) -> list[dict]:
 
 def _report_payload(counts_path, counts, result, cfg: OptimizerConfig) -> dict:
     """The optimize report of one run, ready for serialization."""
-    sc = counts.scenario
     block = {
         "name": "optimized",
         "q": result.q,
@@ -72,12 +71,9 @@ def _report_payload(counts_path, counts, result, cfg: OptimizerConfig) -> dict:
         "nonlocal": result.is_nonlocal,
     }
     return {
-        "format_version": io.FORMAT_VERSION,
-        "kind": "report",
+        **io.file_header("report", counts.scenario),
         "artifact_version": __version__,
         "input_digest": io.file_digest(counts_path),
-        "m": sc.m,
-        "d": sc.d,
         "functionals": [block],
         "optimizer_config": asdict(cfg),
         "efficiencies": _efficiency_blocks("optimized", result.functional, frequencies(counts)),
@@ -94,7 +90,7 @@ def _add_optimizer_flags(parser) -> None:
 
 def _meta_number(path, meta: dict, key: str) -> float:
     value = meta.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:  # nan fails too
         raise SchemaError(f"{path}: simulation metadata {key!r} must be a number, got {value!r}")
     return float(value)
 

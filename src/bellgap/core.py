@@ -28,14 +28,18 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _frozen(values, dtype=float, shape=None, name="array") -> np.ndarray:
-    """Copy to a read-only ndarray with the given dtype and shape."""
+def _freeze(obj, name: str, values, shape, dtype=float) -> np.ndarray:
+    """Store a read-only copy of values as the field obj.name and return it.
+
+    The copy must have the given shape and finite entries.
+    """
     arr = np.array(values, dtype=dtype, copy=True)
-    if shape is not None and arr.shape != shape:
+    if arr.shape != shape:
         raise ShapeMismatchError(f"{name}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name}: entries must be finite")
     arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
     return arr
 
 
@@ -80,16 +84,11 @@ class BellFunctional:
 
     def __post_init__(self):
         sc = self.scenario
-        object.__setattr__(
-            self, "joint", _frozen(self.joint, shape=sc.joint_shape, name="joint")
-        )
+        _freeze(self, "joint", self.joint, sc.joint_shape)
         for attr in ("marginal_a", "marginal_b"):
             block = getattr(self, attr)
-            if block is None:
-                block = np.zeros(sc.marginal_shape)
-            object.__setattr__(
-                self, attr, _frozen(block, shape=sc.marginal_shape, name=attr)
-            )
+            _freeze(self, attr, np.zeros(sc.marginal_shape) if block is None else block,
+                    sc.marginal_shape)
 
     @property
     def is_joint_only(self) -> bool:
@@ -112,7 +111,7 @@ class Behavior:
 
     def __post_init__(self, tol):
         sc = self.scenario
-        p = _frozen(self.p, shape=sc.joint_shape, name="p")
+        p = _freeze(self, "p", self.p, sc.joint_shape)
         if p.min() < -tol or p.max() > 1 + tol:
             raise ValidationError("p: entries must lie in [0, 1]")
         block_sums = p.sum(axis=(2, 3))
@@ -121,17 +120,15 @@ class Behavior:
             raise ValidationError(
                 f"p: block (x={worst[0]}, y={worst[1]}) sums to {block_sums[worst]!r}, not 1"
             )
-        object.__setattr__(self, "p", p)
 
         w = self.setting_weights
         if w is None:
             w = np.full((sc.m, sc.m), 1.0 / sc.m**2)
-        w = _frozen(w, shape=(sc.m, sc.m), name="setting_weights")
+        w = _freeze(self, "setting_weights", w, (sc.m, sc.m))
         if w.min() < 0:
             raise ValidationError("setting_weights must be nonnegative")
         if abs(w.sum() - 1.0) > tol:
             raise ValidationError(f"setting_weights sum to {w.sum()!r}, not 1")
-        object.__setattr__(self, "setting_weights", w)
 
 
 @dataclass(frozen=True)

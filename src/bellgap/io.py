@@ -29,8 +29,11 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
+    def refuse(literal):  # json.loads would read NaN, Infinity and -Infinity as floats
+        raise SchemaError(f"{path}: {literal} is not a JSON number")
+
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -43,7 +46,13 @@ def file_digest(path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _expect_kind(payload: dict, kind: str) -> None:
+def file_header(kind: str, scenario: Scenario) -> dict:
+    """The fields every file starts with; _scenario_of checks them on reading."""
+    return {"format_version": FORMAT_VERSION, "kind": kind, "m": scenario.m, "d": scenario.d}
+
+
+def _scenario_of(payload: dict, kind: str) -> Scenario:
+    """The scenario of a file of the given kind, after its header is checked."""
     version = payload.get("format_version")
     if not _is_integer(version) or version != FORMAT_VERSION:
         raise SchemaError(
@@ -51,9 +60,6 @@ def _expect_kind(payload: dict, kind: str) -> None:
         )
     if payload.get("kind") != kind:
         raise SchemaError(f"expected kind {kind!r}, got {payload.get('kind')!r}")
-
-
-def _scenario_of(payload: dict) -> Scenario:
     for key in ("m", "d"):
         if not _is_integer(payload.get(key)):
             raise SchemaError(f"field {key!r} must be an integer")
@@ -86,28 +92,21 @@ def _array_of(payload: dict, key: str) -> np.ndarray:
 
 def behavior_to_payload(b: Behavior) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "kind": "behavior",
-        "m": b.scenario.m,
-        "d": b.scenario.d,
+        **file_header("behavior", b.scenario),
         "p": b.p.tolist(),
         "setting_weights": b.setting_weights.tolist(),
     }
 
 
 def behavior_from_payload(payload: dict) -> Behavior:
-    _expect_kind(payload, "behavior")
-    sc = _scenario_of(payload)
+    sc = _scenario_of(payload, "behavior")
     weights = _array_of(payload, "setting_weights") if "setting_weights" in payload else None
     return Behavior(sc, _array_of(payload, "p"), weights)
 
 
 def counts_to_payload(counts: CountTable, meta: dict | None = None) -> dict:
     payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": "counts",
-        "m": counts.scenario.m,
-        "d": counts.scenario.d,
+        **file_header("counts", counts.scenario),
         "counts": counts.c.tolist(),
     }
     if meta:
@@ -116,8 +115,7 @@ def counts_to_payload(counts: CountTable, meta: dict | None = None) -> dict:
 
 
 def counts_from_payload(payload: dict) -> tuple[CountTable, dict]:
-    _expect_kind(payload, "counts")
-    sc = _scenario_of(payload)
+    sc = _scenario_of(payload, "counts")
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
         raise SchemaError("field 'meta' must be an object")
@@ -131,10 +129,7 @@ def counts_from_payload(payload: dict) -> tuple[CountTable, dict]:
 
 def functional_to_payload(f: BellFunctional) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "kind": "functional",
-        "m": f.scenario.m,
-        "d": f.scenario.d,
+        **file_header("functional", f.scenario),
         "joint": f.joint.tolist(),
         "marginal_a": f.marginal_a.tolist(),
         "marginal_b": f.marginal_b.tolist(),
@@ -142,8 +137,7 @@ def functional_to_payload(f: BellFunctional) -> dict:
 
 
 def functional_from_payload(payload: dict) -> BellFunctional:
-    _expect_kind(payload, "functional")
-    sc = _scenario_of(payload)
+    sc = _scenario_of(payload, "functional")
     marg_a = _array_of(payload, "marginal_a") if "marginal_a" in payload else None
     marg_b = _array_of(payload, "marginal_b") if "marginal_b" in payload else None
     return BellFunctional(sc, _array_of(payload, "joint"), marg_a, marg_b)

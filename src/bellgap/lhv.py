@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Behavior, BellFunctional, Scenario, INTERNAL_TOL, _folded_joint
+from .core import Behavior, BellFunctional, Scenario, INTERNAL_TOL, _folded_joint, _is_integer
 from .errors import CapacityError, DomainError, ShapeMismatchError
 
 # Scenarios with more deterministic strategy pairs raise CapacityError;
@@ -46,10 +46,11 @@ class DeterministicStrategy:
     assign_b: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "assign_a", tuple(int(v) for v in self.assign_a))
-        object.__setattr__(self, "assign_b", tuple(int(v) for v in self.assign_b))
-        if any(v < 0 for v in self.assign_a + self.assign_b):
-            raise DomainError("strategy outcomes must be nonnegative")
+        for name in ("assign_a", "assign_b"):
+            outcomes = tuple(getattr(self, name))
+            if not all(_is_integer(v) and v >= 0 for v in outcomes):
+                raise DomainError(f"{name}: strategy outcomes must be nonnegative integers")
+            object.__setattr__(self, name, tuple(int(v) for v in outcomes))
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,9 @@ class _ResponseRoute:
         peak = per_alice.max()
         w_a = np.exp((per_alice - peak) / tau)
         z_a = w_a.sum()
-        return float(peak + tau * np.log(z_a)), lambda: np.einsum(
-            "i,ixa,iyb->xyab", w_a / z_a, self.a_hot, w_b / z_b
-        ).ravel()
+        return float(peak + tau * np.log(z_a)), lambda: np.tensordot(
+            self.a_hot * (w_a / z_a)[:, None, None], w_b / z_b, (0, 0)
+        ).transpose(0, 2, 1, 3).ravel()
 
     def maximizers(self, joint):
         scores, resp = self._scores(joint)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Behavior, BellFunctional, Scenario, _fold, _frozen, marginals
+from .core import Behavior, BellFunctional, Scenario, _fold, _freeze, marginals
 from .errors import (
     DomainError,
     InfeasibleEfficiencyError,
@@ -70,15 +70,9 @@ class CanonicalFunctional:
                 f"canonical form requires two outcomes, got d={sc.d}"
             )
         m = sc.m
-        object.__setattr__(
-            self, "joint0", _frozen(self.joint0, shape=(m, m), name="joint0")
-        )
-        object.__setattr__(
-            self, "marg_a0", _frozen(self.marg_a0, shape=(m,), name="marg_a0")
-        )
-        object.__setattr__(
-            self, "marg_b0", _frozen(self.marg_b0, shape=(m,), name="marg_b0")
-        )
+        _freeze(self, "joint0", self.joint0, (m, m))
+        _freeze(self, "marg_a0", self.marg_a0, (m,))
+        _freeze(self, "marg_b0", self.marg_b0, (m,))
         if not math.isfinite(self.offset):
             raise DomainError(f"offset must be finite, got {self.offset!r}")
         object.__setattr__(self, "offset", float(self.offset))

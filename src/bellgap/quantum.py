@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Behavior, BellFunctional, Scenario, INTERNAL_TOL
+from .core import Behavior, BellFunctional, Scenario, INTERNAL_TOL, _freeze
 from .errors import DomainError, MeasurementError, ShapeMismatchError
 
 _PROJECTOR_TOL = 1e-10
@@ -28,14 +28,10 @@ class TwoQubitState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex, copy=True)
-        if amps.shape != (4,):
-            raise ShapeMismatchError(f"amplitudes: expected shape (4,), got {amps.shape}")
+        amps = _freeze(self, "amplitudes", self.amplitudes, (4,), dtype=complex)
         norm = np.vdot(amps, amps).real
         if abs(norm - 1.0) > 1e-12:
             raise DomainError(f"state norm^2 = {norm!r}, not 1")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +45,7 @@ class Measurement:
     projectors: np.ndarray
 
     def __post_init__(self):
-        proj = np.array(self.projectors, dtype=complex, copy=True)
-        if proj.shape != (2, 2, 2):
-            raise ShapeMismatchError(f"projectors: expected shape (2, 2, 2), got {proj.shape}")
+        proj = _freeze(self, "projectors", self.projectors, (2, 2, 2), dtype=complex)
         for a in range(2):
             if np.abs(proj[a] @ proj[a] - proj[a]).max() > _PROJECTOR_TOL:
                 raise MeasurementError(f"projector {a} is not idempotent")
@@ -59,8 +53,6 @@ class Measurement:
                 raise MeasurementError(f"projector {a} is not Hermitian")
         if np.abs(proj.sum(axis=0) - np.eye(2)).max() > _PROJECTOR_TOL:
             raise MeasurementError("projectors do not sum to the identity")
-        proj.setflags(write=False)
-        object.__setattr__(self, "projectors", proj)
 
 
 @dataclass(frozen=True, eq=False)

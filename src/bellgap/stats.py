@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Behavior, BellFunctional, Scenario, INGEST_TOL, _folded_joint, _is_integer, ns_residual,
+    Behavior, BellFunctional, Scenario, INGEST_TOL, _folded_joint, _freeze, _is_integer,
+    ns_residual,
 )
 from .errors import (
     ConvergenceError,
@@ -62,7 +63,7 @@ class CountTable:
     c: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.c, copy=True)
+        c = np.asarray(self.c)  # _freeze stores a copy
         if c.shape != self.scenario.joint_shape:
             raise ShapeMismatchError(
                 f"c: expected shape {self.scenario.joint_shape}, got {c.shape}"
@@ -73,11 +74,9 @@ class CountTable:
             raise DomainError("c: counts must be nonnegative integers")
         if c.max() > _MAX_COUNT:
             raise DomainError(f"c: a count exceeds 2**53 = {_MAX_COUNT}")
-        c = c.astype(np.int64)
+        c = _freeze(self, "c", c, self.scenario.joint_shape, dtype=np.int64)
         if c.sum(axis=(2, 3), dtype=object).max() > _MAX_COUNT:  # exact: int64 could wrap
             raise DomainError(f"c: a block total exceeds 2**53 = {_MAX_COUNT}")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
 
     def block_totals(self) -> np.ndarray:
         """Per-setting totals N(x, y); raises if any block is empty."""

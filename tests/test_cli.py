@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline, run in-process via main()."""
 
+import json
 import os
 import subprocess
 import sys
@@ -367,6 +368,20 @@ class TestReport:
         assert code == 2
         err = capsys.readouterr().err
         assert key in err and "must be a number" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                             ids=["NaN", "Infinity", "-Infinity", "1e400", "10**400"])
+    def test_non_finite_metadata_rejected(self, data_dir, tmp_path, capsys, literal):
+        # json reads the first three as floats and 1e400 as inf; 10**400 has no float.
+        counts, meta = io.read_counts(data_dir / "tilted_counts.json")
+        text = json.dumps(io.counts_to_payload(counts, meta | {"concurrence": "VALUE"}))
+        path = tmp_path / "bad_meta.json"
+        path.write_text(text.replace('"VALUE"', literal))
+        code = main(["report", str(path), "--seed", "1", "--restarts", "2",
+                     "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert not (tmp_path / "x").exists()
+        assert str(path) in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -221,6 +221,18 @@ class TestCellsAreJsonNumbers:
         with pytest.raises(SchemaError, match=f"field '{field}': {json.dumps(bad)} is not a JSON number"):
             from_payload(io.read_json(path))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", _TABLE_CELLS)
+    def test_non_finite_literal_is_a_schema_error(self, tmp_path, field, literal):
+        # json.dumps writes these literals unless allow_nan=False; the CLI exits 2 on them.
+        make, row_of, from_payload = _TABLE_CELLS[field]
+        payload = make()
+        row_of(payload)[1] = float(literal)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=f"{literal} is not a JSON number"):
+            from_payload(io.read_json(path))
+
     def test_integer_and_float_cells_read_as_before(self):
         payload = io.functional_to_payload(tilted_functional(1.0))
         payload["joint"][0][0][0] = [1, 0]  # JSON integers where floats were written

@@ -60,7 +60,8 @@ def eager_gradient(route, s: np.ndarray, tau: float) -> np.ndarray:
     z_b = w_b.sum(axis=2, keepdims=True)
     per_alice = (peak_b[:, :, 0] + tau * np.log(z_b[:, :, 0])).sum(axis=1)
     w_a = np.exp((per_alice - per_alice.max()) / tau)
-    return np.einsum("i,ixa,iyb->xyab", w_a / w_a.sum(), route.a_hot, w_b / z_b).ravel()
+    a_weighted = route.a_hot * (w_a / w_a.sum())[:, None, None]
+    return np.tensordot(a_weighted, w_b / z_b, (0, 0)).transpose(0, 2, 1, 3).ravel()
 
 
 def brute_force_bound(f: BellFunctional) -> float:
@@ -95,6 +96,13 @@ class TestDeterministicStrategy:
     def test_negative_outcome_rejected(self):
         with pytest.raises(DomainError):
             DeterministicStrategy((0, -1), (0, 0))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, np.nan],
+                             ids=["fraction", "float", "bool", "nan"])
+    def test_non_integer_outcome_rejected(self, bad):
+        # int() would truncate 1.5 to 1 and read True as 1.
+        with pytest.raises(DomainError, match="assign_b: strategy outcomes must be nonnegative"):
+            DeterministicStrategy((0, 1), (0, bad))
 
 
 class TestLhvBound:

@@ -9,6 +9,7 @@ from bellgap import (
     MeasurementError,
     ShapeMismatchError,
     TwoQubitState,
+    ValidationError,
     alpha_for_concurrence,
     born_behavior,
     concurrence,
@@ -54,6 +55,12 @@ class TestTwoQubitState:
         with pytest.raises(ShapeMismatchError):
             TwoQubitState(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        # The norm test alone passes nan: abs(nan - 1) > tol is False.
+        with pytest.raises(ValidationError, match="amplitudes: entries must be finite"):
+            TwoQubitState(np.array([bad, 0.0, 0.0, 0.0]))
+
     def test_amplitudes_are_frozen(self):
         state = TwoQubitState(np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
@@ -80,6 +87,11 @@ class TestMeasurement:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ShapeMismatchError):
             Measurement(np.eye(2, dtype=complex))
+
+    def test_rejects_nan_projectors(self):
+        # Every projector test compares a nan residual, which is never above the tolerance.
+        with pytest.raises(ValidationError, match="projectors: entries must be finite"):
+            Measurement(np.full((2, 2, 2), np.nan, dtype=complex))
 
     def test_accepts_rotated_projectors(self):
         m = bloch_measurement(0.7)
