@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__, io
 from .errors import DomainError, NumericalError, SchemaError, ValidationError
-from .lhv import lhv_bound
+from .lhv import lhv_bound, lhv_value
 from .loophole import EFFICIENCY_MODES, canonicalize, critical_efficiency
 from .optimize import OptimizerConfig, maximize_r, sdn
 from .quantum import born_behavior, concurrence, tilted_functional, tilted_realization
@@ -128,7 +128,7 @@ def cmd_evaluate(args) -> None:
     f = io.read_functional(args.functional)
     counts, _ = io.read_counts(args.counts)
     rep = error_propagation(f, counts)
-    c = lhv_bound(f).bound
+    c = lhv_value(f)
     print(f"Q = {_fmt(rep.q)}")
     print(f"dQ = {_fmt(rep.delta_q)}")
     print(f"SDN = {_fmt(sdn(rep.q, rep.delta_q, c))}")
@@ -188,7 +188,7 @@ def cmd_report(args) -> None:
 
         tilted = tilted_functional(alpha)
         rep = error_propagation(tilted, counts)
-        sdn_tilted = sdn(rep.q, rep.delta_q, lhv_bound(tilted).bound)
+        sdn_tilted = sdn(rep.q, rep.delta_q, lhv_value(tilted))
         result = maximize_r(counts, cfg)
 
         behavior = frequencies(counts)

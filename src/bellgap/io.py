@@ -75,7 +75,9 @@ def _cells_of(payload: dict, key: str) -> np.ndarray:
     if key not in payload:
         raise SchemaError(f"missing field {key!r}")
     cells = np.asarray(payload[key], dtype=object)
-    for cell in cells.flat:
+    if set(map(type, cells.flat)) <= {int, float}:
+        return cells
+    for cell in cells.flat:  # only to word the error
         if type(cell) not in (int, float):
             if isinstance(cell, (list, dict)):
                 raise SchemaError(f"field {key!r} is not a rectangular numeric array")

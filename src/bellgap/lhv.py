@@ -12,8 +12,9 @@ decomposes per setting.  Both enumerate in lexicographic order on
 (assign_a, assign_b).  One cached enumerator per scenario picks the route.
 Each route has two methods: ``bound(joint, tau)``, the exact bound with
 its first maximizer's table at tau <= 0 and the log-sum-exp softening
-above, which the optimizer calls as its bound oracle; and
-``maximizers(joint)``, every maximizer up to ties, behind ``lhv_bound``.
+above, which the optimizer calls as its bound oracle and ``lhv_value``
+reads at tau = 0; and ``maximizers(joint)``, every maximizer up to ties,
+behind ``lhv_bound``.
 """
 
 from __future__ import annotations
@@ -123,13 +124,18 @@ class _ResponseRoute:
         self.shape = (m, m, d, d)
         self.assign = _assignment_array(m, d)
         self.a_hot = _one_hot(self.assign, d)
+        self.a_flat = self.a_hot.reshape(len(self.assign), m * d)
 
     def _scores(self, joint):
         """(scores, resp): resp[i, y, b] is the total weight of Bob answering
         b on setting y given Alice's i-th assignment, scores[i] the best total."""
-        # Alice's one-hot outcomes against the joint table read as [x, a, y, b].
-        resp = np.tensordot(self.a_hot, joint.reshape(self.shape).transpose(0, 2, 1, 3), 2)
-        return resp.max(axis=2).sum(axis=1), resp
+        # Alice's one-hot outcomes against the joint table read as [b, x, a, y]
+        # lay the weights out as (b, i, y), so the max over b runs over
+        # contiguous slices; resp is a view of them.
+        m, _, d, _ = self.shape
+        bxay = joint.reshape(self.shape).transpose(3, 0, 2, 1).reshape(d, m * d, m)
+        by_b = np.matmul(self.a_flat, bxay)
+        return by_b.max(axis=0).sum(axis=1), by_b.transpose(1, 2, 0)
 
     def bound(self, joint, tau=0.0):
         """(bound, callable giving its flat gradient table); see make_joint_bound_oracle."""
@@ -194,6 +200,12 @@ def lhv_bound(functional: BellFunctional) -> LhvResult:
     route = _route(functional.scenario)
     bound, maximizers = route.maximizers(_folded_joint(functional).ravel())
     return LhvResult(bound, tuple(maximizers))
+
+
+def lhv_value(functional: BellFunctional) -> float:
+    """Exact LHV bound alone: the bits of ``lhv_bound(functional).bound``
+    without listing the maximizing strategies."""
+    return _route(functional.scenario).bound(_folded_joint(functional).ravel())[0]
 
 
 def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> Behavior:

@@ -46,10 +46,13 @@ class Measurement:
 
     def __post_init__(self):
         proj = _freeze(self, "projectors", self.projectors, (2, 2, 2), dtype=complex)
+        # Both projectors at once; per projector a, the largest deviation.
+        idempotent = np.abs(proj @ proj - proj).max(axis=(1, 2)) <= _PROJECTOR_TOL
+        hermitian = np.abs(proj - proj.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= _PROJECTOR_TOL
         for a in range(2):
-            if np.abs(proj[a] @ proj[a] - proj[a]).max() > _PROJECTOR_TOL:
+            if not idempotent[a]:
                 raise MeasurementError(f"projector {a} is not idempotent")
-            if np.abs(proj[a] - proj[a].conj().T).max() > _PROJECTOR_TOL:
+            if not hermitian[a]:
                 raise MeasurementError(f"projector {a} is not Hermitian")
         if np.abs(proj.sum(axis=0) - np.eye(2)).max() > _PROJECTOR_TOL:
             raise MeasurementError("projectors do not sum to the identity")
@@ -118,14 +121,11 @@ def born_behavior(
             f"need equally many settings per party, got {len(meas_a)} and {len(meas_b)}"
         )
     sc = Scenario(len(meas_a), 2)
-    psi = state.amplitudes
-    p = np.empty(sc.joint_shape)
-    for x, mx in enumerate(meas_a):
-        for y, my in enumerate(meas_b):
-            for a in range(2):
-                for b in range(2):
-                    op = np.kron(mx.projectors[a], my.projectors[b])
-                    p[x, y, a, b] = np.vdot(psi, op @ psi).real
+    # psi[i, k]: amplitude of Alice's qubit in |i>, Bob's in |k>.
+    psi = state.amplitudes.reshape(2, 2)
+    proj_a = np.stack([m.projectors for m in meas_a])
+    proj_b = np.stack([m.projectors for m in meas_b])
+    p = np.einsum("ik,xaij,ybkl,jl->xyab", psi.conj(), proj_a, proj_b, psi).real
     p = np.clip(p, 0.0, 1.0)
     return Behavior(sc, p, tol=INTERNAL_TOL)
 

@@ -8,14 +8,17 @@ count-to-frequency map.
 The projection onto the no-signaling set minimizes a weighted negative
 log-likelihood under linear equality constraints.  It is solved by a
 feasible-start equality-constrained Newton method (Boyd & Vandenberghe,
-*Convex Optimization*, section 10.2): every step solves one small dense KKT
-system.  Entries with zero frequency carry a log barrier whose weight is
-driven to about zero (section 11.3).
+*Convex Optimization*, section 10.2), started near the frequencies: every
+step solves its KKT system through the Schur complement of the diagonal
+Hessian, with dense LU as the guard where that is inaccurate.  Entries with
+zero frequency carry a log barrier whose weight is driven to about zero
+(section 11.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +45,17 @@ _NEWTON_MAX_ITERS = 100
 # iterate is in the quadratic phase: steps are taken in full, without the
 # sufficient-decrease test, which rounding would fail there.
 _NEWTON_TOL = 1e-12
+
+# A Schur-complement Newton step is accepted when its KKT residual is within
+# this fraction of the equation's scale, max |w / p| + max |a_eq^T nu| (which
+# bounds max |H dp|), after at most this many refinements with the same
+# Cholesky factor; otherwise the step is solved by dense LU.
+_KKT_RESIDUAL = 1e-14
+_KKT_REFINEMENTS = 3
+
+# The warm start keeps every entry at least this fraction of the uniform
+# value 1 / d^2 (blending toward uniform where the frequencies are lower).
+_START_FLOOR = 1e-3
 
 # Log-barrier weights on entries whose frequency weight is zero, as
 # multiples of the mean entry weight, one centering each.  At the last one
@@ -115,6 +129,10 @@ def poisson_sample(b: Behavior, n_per_setting: int, seed: int) -> CountTable:
     """
     if not (_is_integer(n_per_setting) and n_per_setting > 0):
         raise DomainError(f"n_per_setting must be a positive integer, got {n_per_setting!r}")
+    if n_per_setting > _MAX_COUNT:
+        raise DomainError(f"n_per_setting exceeds 2**53 = {_MAX_COUNT}, got {n_per_setting!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     return CountTable(b.scenario, rng.poisson(int(n_per_setting) * b.p))
 
@@ -154,8 +172,12 @@ def kl_divergence(f: Behavior, p: Behavior) -> float:
     return float(w @ np.log2(ratio))
 
 
+@lru_cache(maxsize=None)
 def _ns_constraint_matrix(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked equality rows: block normalization and equal cross-party marginals."""
+    """Stacked equality rows: block normalization and equal cross-party marginals.
+
+    Cached per scenario; both arrays are read-only.
+    """
     m, d = sc.m, sc.d
     n = m * m * d * d
     idx = np.arange(n).reshape(sc.joint_shape)
@@ -185,39 +207,70 @@ def _ns_constraint_matrix(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
                 r[idx[0, y, :, b]] -= 1.0
                 rows.append(r)
                 targets.append(0.0)
-    return np.array(rows), np.array(targets)
+    a_eq, b_eq = np.array(rows), np.array(targets)
+    a_eq.setflags(write=False)
+    b_eq.setflags(write=False)
+    return a_eq, b_eq
+
+
+def _kkt_step(p: np.ndarray, w: np.ndarray, a_eq: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Newton step dp of _center: the solution of
+
+        [H     a_eq^T] [dp]   [w / p]
+        [a_eq  0     ] [nu] = [r    ],    H = diag(w / p^2).
+
+    H is diagonal, so nu solves the Schur complement system
+    (a_eq H^-1 a_eq^T) nu = a_eq p - r by Cholesky and dp = p - H^-1 a_eq^T nu,
+    which satisfies the first block row to rounding.  Entries the barrier
+    pins near zero make the Schur matrix ill-conditioned, so the second
+    block row's residual is checked and refined with the same factor, and
+    a step whose residual stays above _KKT_RESIDUAL of the equation's
+    scale, or whose Schur matrix is not numerically positive definite, is
+    solved by dense LU on the full system instead (with neither guard a
+    zero-count optimality test of ``ns_project`` fails).  An exactly
+    singular KKT matrix raises ConvergenceError.
+    """
+    from scipy.linalg.blas import dsyrk  # here, so importing bellgap loads no scipy
+    from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
+    h_inv = p * p / w
+    g = w / p
+    # dsyrk forms the upper triangle from the transposed, Fortran-ordered factor.
+    chol, info = dpotrf(dsyrk(1.0, (a_eq * np.sqrt(h_inv)).T, trans=1))
+    if not info:
+        at_nu = a_eq.T @ dpotrs(chol, a_eq @ p - r)[0]
+        dp = p - h_inv * at_nu
+        tol = _KKT_RESIDUAL * (g.max() + np.abs(at_nu).max())
+        for refinement in range(_KKT_REFINEMENTS + 1):
+            res = r - a_eq @ dp
+            if np.abs(res).max() <= tol:
+                return dp
+            if refinement < _KKT_REFINEMENTS:
+                dp += h_inv * (a_eq.T @ dpotrs(chol, res)[0])
+    n = p.size
+    kkt = np.zeros((n + r.size, n + r.size))
+    kkt[:n, n:] = a_eq.T
+    kkt[n:, :n] = a_eq
+    kkt[np.arange(n), np.arange(n)] = 1.0 / h_inv
+    _, _, sol, info = dgesv(kkt, np.concatenate([g, r]))
+    if info:
+        raise ConvergenceError(f"projection stalled: KKT system singular at pivot {info}")
+    return sol[:n]
 
 
 def _center(p: np.ndarray, w: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
     """Minimize -w . log(p) subject to a_eq p = b_eq by Newton's method, from p > 0.
 
-    Each step solves the KKT system
-
-        [diag(w / p^2)  a_eq^T] [dp]   [w / p         ]
-        [a_eq           0     ] [nu] = [b_eq - a_eq p ]
-
-    by LU with partial pivoting (B&V Algorithm 10.1; the residual on the
-    right keeps rounding drift off the constraints).  Backtracking halves
-    the step until p stays positive and, outside the quadratic phase, the
-    objective falls by a quarter of the decrement's prediction.  In the
-    quadratic phase full steps continue while the squared Newton decrement
-    w . (dp / p)^2 still falls, so the divergence is not left a few ulps
-    above its minimum.  An exactly singular KKT matrix raises
-    ConvergenceError.
+    Each step is the solution dp of _kkt_step's KKT system, whose
+    right-hand side b_eq - a_eq p keeps rounding drift off the constraints
+    (B&V Algorithm 10.1).  Backtracking halves the step until p stays
+    positive and, outside the quadratic phase, the objective falls by a
+    quarter of the decrement's prediction.  In the quadratic phase full
+    steps continue while the squared Newton decrement w . (dp / p)^2 still
+    falls, so the divergence is not left a few ulps above its minimum.
     """
-    from scipy.linalg.lapack import dgesv  # here, so importing bellgap loads no scipy
-    n = p.size
-    kkt = np.zeros((n + b_eq.size, n + b_eq.size))
-    kkt[:n, n:] = a_eq.T
-    kkt[n:, :n] = a_eq
-    diag = np.arange(n)
     last = np.inf
     for _ in range(_NEWTON_MAX_ITERS):
-        kkt[diag, diag] = w / (p * p)
-        _, _, sol, info = dgesv(kkt, np.concatenate([w / p, b_eq - a_eq @ p]))
-        if info:
-            raise ConvergenceError(f"projection stalled: KKT system singular at pivot {info}")
-        rel = sol[:n] / p
+        rel = _kkt_step(p, w, a_eq, b_eq - a_eq @ p) / p
         dec = float(w @ rel**2)
         if dec < _NEWTON_TOL and dec >= last:
             break
@@ -233,6 +286,22 @@ def _center(p: np.ndarray, w: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) ->
     return p
 
 
+def _warm_start(f: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, uniform: float) -> np.ndarray:
+    """Feasible start for _center near the frequencies f.
+
+    The Euclidean projection f - a_eq^T (a_eq a_eq^T)^-1 (a_eq f - b_eq) is
+    feasible; it is blended toward the uniform behavior, also feasible, just
+    enough to lift every entry to _START_FLOOR * uniform.
+    """
+    p = f - a_eq.T @ np.linalg.solve(a_eq @ a_eq.T, a_eq @ f - b_eq)
+    floor = _START_FLOOR * uniform
+    low = p.min()
+    if low < floor:
+        theta = (floor - low) / (uniform - low)
+        p = (1.0 - theta) * p + theta * uniform
+    return p
+
+
 def ns_project(f: Behavior) -> Behavior:
     """Closest no-signaling behavior to f in kl_divergence(f, .).
 
@@ -240,12 +309,12 @@ def ns_project(f: Behavior) -> Behavior:
     setting-weighted frequencies, subject to block normalization and equal
     cross-party marginals.  The objective is convex, so the Newton method of
     ``_center`` (Boyd & Vandenberghe, *Convex Optimization*, section 10.2),
-    started at the uniform behavior, which satisfies the constraints,
-    reaches the global minimum.  Entries where w vanishes give the Hessian
-    no curvature and would make the KKT matrix singular; they carry a log
-    barrier instead, whose weight is lowered from 1e-2 to 1e-14 of the mean
-    weight over five centerings (B&V section 11.3), each started where the
-    previous one ended.  A result that still signals above 1e-8 raises
+    started at the feasible point of ``_warm_start``, reaches the global
+    minimum.  Entries where w vanishes give the Hessian no curvature and
+    would make the KKT matrix singular; they carry a log barrier instead,
+    whose weight is lowered from 1e-2 to 1e-14 of the mean weight over five
+    centerings (B&V section 11.3), each started where the previous one
+    ended.  A result that still signals above 1e-8 raises
     ConvergenceError with that result as ``best``.
     """
     if ns_residual(f).max <= _NS_PASSTHROUGH:
@@ -254,7 +323,7 @@ def ns_project(f: Behavior) -> Behavior:
     w = (f.setting_weights[:, :, None, None] * f.p).ravel()
     zero = w == 0.0
     a_eq, b_eq = _ns_constraint_matrix(sc)
-    p = np.full(w.size, 1.0 / sc.d**2)
+    p = _warm_start(f.p.ravel(), a_eq, b_eq, 1.0 / sc.d**2)
     for barrier in _BARRIER_WEIGHTS if zero.any() else (0.0,):
         p = _center(p, np.where(zero, barrier * w.mean(), w), a_eq, b_eq)
     p_hat = np.clip(p.reshape(sc.joint_shape), 0.0, 1.0)

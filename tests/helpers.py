@@ -7,9 +7,12 @@ from bellgap import (
     BellFunctional,
     DeterministicStrategy,
     Scenario,
+    TwoQubitState,
+    born_behavior,
     strategy_behavior,
     tilted_behavior,
 )
+from bellgap.quantum import _rotated_measurement
 
 
 def random_functional(sc: Scenario, rng, scale=2.0, with_marginals=True) -> BellFunctional:
@@ -51,3 +54,28 @@ def signaling_behavior(sc: Scenario, rng, eps=0.02) -> Behavior:
     shift[0, 0, 0, 0] = eps
     shift[0, 0, 0, 1] = -eps
     return Behavior(sc, p + shift)
+
+
+def local_mixture(sc: Scenario, rng, n_strategies, uniform_weight=0.0) -> Behavior:
+    """Random mixture of deterministic strategies, drawn as the benchmark draws its local data."""
+    parts = [
+        strategy_behavior(
+            DeterministicStrategy(
+                tuple(rng.integers(0, sc.d, sc.m)), tuple(rng.integers(0, sc.d, sc.m))
+            ),
+            sc,
+        ).p
+        for _ in range(n_strategies)
+    ]
+    mix = np.tensordot(rng.dirichlet(np.ones(n_strategies)), np.stack(parts), axes=1)
+    return Behavior(sc, (1.0 - uniform_weight) * mix + uniform_weight / sc.d**2)
+
+
+def chained_behavior(m: int, concurrence: float) -> Behavior:
+    """cos(t)|00> + sin(t)|11> measured at the chained-Bell angles in the X-Z plane:
+    Alice at k pi/m, Bob at k pi/m + pi/2m, k = 0..m-1."""
+    theta = 0.5 * np.arcsin(concurrence)
+    state = TwoQubitState(np.array([np.cos(theta), 0.0, 0.0, np.sin(theta)], dtype=complex))
+    alice = [_rotated_measurement(k * np.pi / m) for k in range(m)]
+    bob = [_rotated_measurement(k * np.pi / m + np.pi / (2 * m)) for k in range(m)]
+    return born_behavior(state, alice, bob)

@@ -77,6 +77,12 @@ class TestSimulate:
         assert main(["simulate", "--alpha", "2.5", "--seed", "1",
                      "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"],
+                                       ["--seed", "1", "--n-per-setting", str(10**20)]])
+    def test_out_of_range_sampling_argument_fails_validation(self, tmp_path, capsys, flags):
+        assert main(["simulate", "--alpha", "1.0", *flags, "--out", str(tmp_path / "x.json")]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_required_flag_is_a_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--seed", "1", "--out", "x.json"])

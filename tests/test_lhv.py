@@ -15,6 +15,7 @@ from bellgap import (
     absorb_marginals,
     evaluate,
     lhv_bound,
+    lhv_value,
     make_joint_bound_oracle,
     strategy_behavior,
     tilted_functional,
@@ -133,6 +134,12 @@ class TestLhvBound:
         f = random_functional(Scenario(3, 3), rng)
         res = lhv_bound(f)
         np.testing.assert_allclose(res.bound, brute_force_bound(f), rtol=1e-13)
+
+    @pytest.mark.parametrize("sc", ROUTE_SCENARIOS + (Scenario(4, 3), Scenario(6, 4)))
+    def test_value_is_the_bound_without_maximizers(self, sc):
+        # Both routes: up to 3x3 the matrix, from 4x3 on Alice's assignments.
+        f = random_functional(sc, np.random.default_rng(34))
+        assert lhv_value(f) == lhv_bound(f).bound
 
     @pytest.mark.parametrize("seed", range(4))
     def test_every_maximizer_attains_the_bound(self, seed):

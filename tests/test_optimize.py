@@ -42,7 +42,7 @@ from bellgap.lhv import DeterministicStrategy
 from bellgap.cli import main
 from bellgap.optimize import PENALTY_R, SIGNIFICANCE_SDN, _CountModel
 
-from helpers import random_ns_behavior
+from helpers import local_mixture, random_ns_behavior
 
 CHSH = Scenario(2, 2)
 DM = 4.0
@@ -110,33 +110,18 @@ MULTI_COUNTS = poisson_sample(
 )
 
 
-def _local_mixture(sc, rng, n_strategies, uniform_weight=0.0):
-    """Random mixture of deterministic strategies, drawn as the benchmark draws its local data."""
-    parts = [
-        strategy_behavior(
-            DeterministicStrategy(
-                tuple(rng.integers(0, sc.d, sc.m)), tuple(rng.integers(0, sc.d, sc.m))
-            ),
-            sc,
-        ).p
-        for _ in range(n_strategies)
-    ]
-    mix = np.tensordot(rng.dirichlet(np.ones(n_strategies)), np.stack(parts), axes=1)
-    return Behavior(sc, (1.0 - uniform_weight) * mix + uniform_weight / sc.d**2)
-
-
 # The benchmark's local 3x2 counts: a six-strategy mixture, three zero
 # counts, distance 2.58 to the local polytope, so no functional clears the
 # significance gate and maximize_r skips the restarts.
 LOCAL_3X2 = poisson_sample(
-    _local_mixture(Scenario(3, 2), np.random.default_rng(77), 6), 100_000, seed=77
+    local_mixture(Scenario(3, 2), np.random.default_rng(77), 6), 100_000, seed=77
 )
 
 # Local 7x2 counts, scored on the response route: an eight-strategy mixture
 # plus 0.2 uniform, on which the bracket converges to a gap of 2e-10
 # relative, above its 1e-10 stop.
 LOCAL_7X2 = poisson_sample(
-    _local_mixture(Scenario(7, 2), np.random.default_rng(77), 8, 0.2), 100_000, seed=77
+    local_mixture(Scenario(7, 2), np.random.default_rng(77), 8, 0.2), 100_000, seed=77
 )
 
 # Singlet CHSH counts on 3x2, Alice's and Bob's third setting repeating

@@ -17,6 +17,7 @@ from bellgap import (
     InfiniteDivergenceError,
     Scenario,
     ShapeMismatchError,
+    alpha_for_concurrence,
     error_propagation,
     evaluate,
     frequencies,
@@ -32,7 +33,9 @@ from bellgap import (
 
 from bellgap import stats as stats_module
 
-from helpers import random_functional, random_ns_behavior, signaling_behavior
+from helpers import (
+    chained_behavior, local_mixture, random_functional, random_ns_behavior, signaling_behavior,
+)
 
 CHSH = Scenario(2, 2)
 
@@ -171,6 +174,15 @@ class TestPoissonSample:
     def test_rejects_non_integer_rate(self, n):
         with pytest.raises(DomainError, match="n_per_setting"):
             poisson_sample(uniform_behavior(CHSH), n, seed=1)
+
+    def test_rejects_rate_beyond_exact_counts(self):
+        with pytest.raises(DomainError, match="n_per_setting exceeds"):
+            poisson_sample(uniform_behavior(CHSH), 2**53 + 1, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "1"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            poisson_sample(uniform_behavior(CHSH), 1000, seed)
 
     def test_numpy_integer_rate_accepted(self):
         b = uniform_behavior(CHSH)
@@ -318,6 +330,9 @@ class TestNsProject:
 
     def test_singular_kkt_system_is_a_convergence_error(self, monkeypatch):
         f = signaling_behavior(CHSH, np.random.default_rng(8))
+        # Cholesky fails on the Schur complement, so the step falls back to
+        # LU, which then reports the singular KKT matrix.
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a: (a, 1))
         monkeypatch.setattr(scipy.linalg.lapack, "dgesv", lambda a, b: (a, None, b, 1))
         with pytest.raises(ConvergenceError, match="singular"):
             ns_project(f)
@@ -346,6 +361,26 @@ class TestNsProject:
             for t in (1e-4, 1e-8, 1e-12):
                 assert kl_increase(f, proj.p, q, t) >= -1e-12 * t, (t, kl_increase(f, proj.p, q, t))
 
+    @pytest.mark.parametrize("source", ["tilted_2x2", "chained_3x2", "chained_4x2", "local_3x3",
+                                        "zero_count_4x3"])
+    def test_schur_steps_match_dense_lu(self, source, monkeypatch):
+        # The benchmark's four projections and a zero-count sample, against
+        # the same Newton method with every step solved by LU on the full
+        # KKT matrix (a Cholesky factorization that always fails).
+        f = PROJECTION_INPUTS[source]()
+        proj = ns_project(f)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a: (a, 1))
+        ref = ns_project(f)
+        assert kl_divergence(f, proj) == pytest.approx(kl_divergence(f, ref), rel=1e-12)
+        np.testing.assert_allclose(proj.p, ref.p, rtol=0, atol=1e-12)
+
+    def test_large_zero_count_projection(self):
+        f = PROJECTION_INPUTS["zero_count_6x4"]()
+        assert (f.p == 0).sum() > 0
+        proj = ns_project(f)
+        assert ns_residual(proj).max <= 1e-8
+        assert kl_divergence(f, proj) > 0.0
+
     @pytest.mark.parametrize("kind", ["outcomes", "settings", "parties"])
     def test_projection_commutes_with_relabeling(self, kind):
         rng = np.random.default_rng(60)
@@ -359,6 +394,29 @@ class TestNsProject:
             got = ns_project(Behavior(f.scenario, p, weights))
             want, _ = relabeled(ns_project(f).p, f.setting_weights, kind)
             np.testing.assert_allclose(got.p, want, rtol=0, atol=1e-12, err_msg=str(f.scenario))
+
+
+def _sampled(behavior: Behavior, seed: int) -> Behavior:
+    return frequencies(poisson_sample(behavior, 100_000, seed))
+
+
+# Frequencies of N = 1e5 counts per setting: the benchmark's projection
+# inputs (sampling seed 77), and 40-strategy mixtures whose samples keep
+# zero counts (seed 5).
+PROJECTION_INPUTS = {
+    "tilted_2x2": lambda: _sampled(tilted_behavior(alpha_for_concurrence(0.582)), 77),
+    "chained_3x2": lambda: _sampled(chained_behavior(3, 0.582), 77),
+    "chained_4x2": lambda: _sampled(chained_behavior(4, 0.582), 77),
+    "local_3x3": lambda: _sampled(
+        local_mixture(Scenario(3, 3), np.random.default_rng(77), 8, 0.2), 77
+    ),
+    "zero_count_4x3": lambda: _sampled(
+        random_ns_behavior(Scenario(4, 3), np.random.default_rng(5), n_components=40), 5
+    ),
+    "zero_count_6x4": lambda: _sampled(
+        random_ns_behavior(Scenario(6, 4), np.random.default_rng(5), n_components=40), 5
+    ),
+}
 
 
 def zero_count_frequencies(source: str, seed: int) -> Behavior:
