@@ -99,7 +99,8 @@ class BellFunctional:
 class Behavior:
     """Conditional probability table ``p[x, y, a, b]`` with setting weights.
 
-    Every (x, y) block must sum to one within ``tol``.  ``setting_weights``
+    Entries must lie in [0, 1] and every (x, y) block must sum to one, both
+    within ``tol``; the stored table is clipped to [0, 1].  ``setting_weights``
     gives the relative frequency of choosing each setting pair and defaults
     to uniform.
     """
@@ -112,7 +113,8 @@ class Behavior:
     def __post_init__(self, tol):
         sc = self.scenario
         p = _freeze(self, "p", self.p, sc.joint_shape)
-        if p.min() < -tol or p.max() > 1 + tol:
+        low, high = p.min(), p.max()
+        if low < -tol or high > 1 + tol:
             raise ValidationError("p: entries must lie in [0, 1]")
         block_sums = p.sum(axis=(2, 3))
         if np.abs(block_sums - 1.0).max() > tol:
@@ -120,6 +122,10 @@ class Behavior:
             raise ValidationError(
                 f"p: block (x={worst[0]}, y={worst[1]}) sums to {block_sums[worst]!r}, not 1"
             )
+        if low < 0.0 or high > 1.0:
+            # Consumers sample Poisson counts from p and take its logarithm and
+            # square root, so entries up to tol below 0 must not reach them.
+            _freeze(self, "p", p.clip(0.0, 1.0), sc.joint_shape)
 
         w = self.setting_weights
         if w is None:

@@ -38,10 +38,7 @@ EFFICIENCY_MODES = ("asymmetric_b_perfect", "symmetric")
 # exactly on the bound, where eta = 1 is the root.
 _EQUALITY_TOL = 1e-12
 
-# Quadratic discriminants above -_DISC_TOL are clamped to zero.
-_DISC_TOL = 1e-12
-
-# Roots must clear zero by this much; eta lives in the half-open (0, 1].
+# Roots must clear 0, and may pass 1, by this much; eta is capped at 1.
 _ROOT_TOL = 1e-12
 
 
@@ -156,15 +153,19 @@ def critical_efficiency(
 
     An inefficient detector maps non-detections to outcome 1, which in
     canonical form multiplies p(00|xy) by eta_A eta_B and each marginal by
-    its party's efficiency.  The threshold solves
+    its party's efficiency.  With J, A, B the canonical contributions of b
+    and C the canonical bound, both modes' lossy gap is
 
-        asymmetric (eta_B = 1):  eta_A (J + A) + B = C
-        symmetric (eta common):  eta^2 J + eta (A + B) = C
+        g(eta) = a eta^2 + lin eta - k,  with (a, lin, k) =
+            (0, J + A, C - B)  asymmetric (eta_B = 1),
+            (J, A + B, C)      symmetric (eta common).
 
-    with J, A, B the canonical contributions of b and C the canonical
-    bound.  A behavior exactly at the bound returns eta = 1, except on the
-    zero functional, which no behavior violates; the smaller of two
-    admissible symmetric roots is the minimal efficiency.
+    The all-outcome-1 strategy scores 0, so C >= 0, and "Alice always 1,
+    Bob's best answer" is an enumerated strategy, so B <= C; hence
+    g(0) = -k <= 0 < g(1) for a violating b, and the threshold is g's one
+    crossing in [0, 1), (-lin + sqrt(lin^2 + 4 a k)) / (2 a), or k / lin
+    when a = 0.  A behavior exactly at the bound returns eta = 1, except on
+    the zero functional, which no behavior violates.
     """
     if mode not in EFFICIENCY_MODES:
         raise DomainError(f"mode must be one of {EFFICIENCY_MODES}, got {mode!r}")
@@ -182,42 +183,16 @@ def critical_efficiency(
             raise NoViolationError("the canonical functional is zero; no behavior violates it")
         return EfficiencyResult(1.0, 1.0, mode)
 
-    if mode == "asymmetric_b_perfect":
-        slope = j + ta
-        if slope <= 0.0:
-            raise InfeasibleEfficiencyError(
-                "no efficiency in (0, 1] removes the violation: "
-                f"eta_A coefficient {slope!r} is not positive"
-            )
-        eta = (c - tb) / slope
-        if not (_ROOT_TOL < eta <= 1.0):
-            raise InfeasibleEfficiencyError(
-                f"critical eta_A {eta!r} falls outside (0, 1]"
-            )
-        return EfficiencyResult(eta, 1.0, mode)
-
-    beta = ta + tb
-    if j == 0.0:
-        if beta == 0.0:
-            raise InfeasibleEfficiencyError(
-                "efficiency equation is constant; no root in (0, 1]"
-            )
-        roots = [c / beta]
+    symmetric = mode == "symmetric"
+    a, lin, k = (j, ta + tb, c) if symmetric else (0.0, j + ta, c - tb)
+    if a == 0.0:
+        eta = k / lin if lin else math.nan
     else:
-        # Unreachable with the enumerated bound: the all-outcome-1 strategy
-        # scores 0, so c >= 0, and eta^2 j + eta beta - c is then -c <= 0 at
-        # eta = 0 and the gap > 0 at eta = 1, so it has a real root.
-        disc = beta * beta + 4.0 * j * c
-        if disc < -_DISC_TOL:
-            raise InfeasibleEfficiencyError(
-                f"efficiency equation has no real root (discriminant {disc!r})"
-            )
-        sq = math.sqrt(max(disc, 0.0))
-        roots = [(-beta + sq) / (2.0 * j), (-beta - sq) / (2.0 * j)]
-    admissible = [r for r in roots if _ROOT_TOL < r <= 1.0 + _ROOT_TOL]
-    if not admissible:
+        eta = (-lin + math.sqrt(max(lin * lin + 4.0 * a * k, 0.0))) / (2.0 * a)
+    if not (_ROOT_TOL < eta <= 1.0 + _ROOT_TOL):
         raise InfeasibleEfficiencyError(
-            f"no efficiency root in (0, 1]; candidates {roots!r}"
+            f"critical efficiency {eta!r} falls outside (0, 1]: "
+            f"no root of {a!r} eta^2 + {lin!r} eta - {k!r} removes the violation"
         )
-    eta = min(min(admissible), 1.0)
-    return EfficiencyResult(eta, eta, mode)
+    eta = min(eta, 1.0)
+    return EfficiencyResult(eta, eta if symmetric else 1.0, mode)

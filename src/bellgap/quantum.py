@@ -126,7 +126,6 @@ def born_behavior(
     proj_a = np.stack([m.projectors for m in meas_a])
     proj_b = np.stack([m.projectors for m in meas_b])
     p = np.einsum("ik,xaij,ybkl,jl->xyab", psi.conj(), proj_a, proj_b, psi).real
-    p = np.clip(p, 0.0, 1.0)
     return Behavior(sc, p, tol=INTERNAL_TOL)
 
 

@@ -82,6 +82,9 @@ class CountTable:
             raise ShapeMismatchError(
                 f"c: expected shape {self.scenario.joint_shape}, got {c.shape}"
             )
+        # Booleans are not counts (core._is_integer); complex and str do not compare.
+        if c.dtype.kind not in "iufO":
+            raise DomainError(f"c: counts must be integer or float numbers, got dtype {c.dtype}")
         if not np.all(np.isfinite(c.astype(float))):
             raise DomainError("c: counts must be finite")
         if np.any(c != np.floor(c)) or c.min() < 0:

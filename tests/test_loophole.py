@@ -186,16 +186,34 @@ class TestCriticalEfficiency:
         np.testing.assert_allclose(sym.eta_a, 2.0 / (1.0 + SQRT2), rtol=1e-12)
         assert sym.eta_a == sym.eta_b
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.2, 1.8])
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.2, 1.8, "ch"])
     def test_thresholds_solve_their_equations(self, alpha):
-        cf = canonicalize(tilted_functional(alpha))
-        b = tilted_behavior(alpha)
+        # "ch": the CH form on the CHSH-optimal behavior, whose bound C = 0
+        # makes eta = 0 a root of the symmetric gap (the k = 0 case).
+        if alpha == "ch":
+            cf = CanonicalFunctional(
+                CHSH, np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([-1.0, 0.0]),
+                np.array([-1.0, 0.0]), 0.0,
+            )
+            b = tilted_behavior(0.0)
+        else:
+            cf = canonicalize(tilted_functional(alpha))
+            b = tilted_behavior(alpha)
         j, ta, tb = canonical_terms(cf, b)
         c = canonical_lhv_bound(cf)
-        eta_a = critical_efficiency(cf, b, "asymmetric_b_perfect").eta_a
-        np.testing.assert_allclose(eta_a * (j + ta) + tb, c, atol=1e-12)
-        eta = critical_efficiency(cf, b, "symmetric").eta_a
-        np.testing.assert_allclose(eta**2 * j + eta * (ta + tb), c, atol=1e-12)
+        gaps = {
+            "asymmetric_b_perfect": lambda eta: eta * (j + ta) + tb - c,
+            "symmetric": lambda eta: eta**2 * j + eta * (ta + tb) - c,
+        }
+        etas = {}
+        for mode, gap in gaps.items():
+            etas[mode] = critical_efficiency(cf, b, mode).eta_a
+            np.testing.assert_allclose(gap(etas[mode]), 0.0, atol=1e-12)
+            assert gap(etas[mode] - 1e-6) < 0.0
+        if alpha == "ch":
+            assert c == 0.0
+            np.testing.assert_allclose(etas["symmetric"], 2.0 / (1.0 + SQRT2), rtol=1e-12)
+            np.testing.assert_allclose(etas["asymmetric_b_perfect"], 1.0 / SQRT2, rtol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.2, 1.8])
     def test_symmetric_needs_at_least_the_asymmetric_efficiency(self, alpha):
@@ -248,7 +266,13 @@ class TestCriticalEfficiency:
 
 
 class TestInfeasibleBranches:
-    """Defensive contract checks; physical no-signaling data cannot reach these."""
+    """Roots for a canonical bound C forced by hand; those outside (0, 1] raise.
+
+    No real input has a root outside (0, 1]: the all-outcome-1 strategy
+    scores 0, so C >= 0, and "Alice always 1, Bob's best answer" is an
+    enumerated strategy, so Bob's contribution B <= C; the lossy gap is then
+    <= 0 at eta = 0 and > 0 at eta = 1.  Only a negative C gets out.
+    """
 
     def single_setting(self, joint0, marg_a0, marg_b0):
         return CanonicalFunctional(
@@ -266,7 +290,7 @@ class TestInfeasibleBranches:
     def test_nonpositive_asymmetric_slope(self, monkeypatch):
         cf = self.single_setting(-2.0, 1.0, 0.0)  # J + A = -1 on full detection
         self.force_bound(monkeypatch, -2.0)
-        with pytest.raises(InfeasibleEfficiencyError, match="not positive"):
+        with pytest.raises(InfeasibleEfficiencyError, match="outside"):
             critical_efficiency(cf, self.detected_behavior(), "asymmetric_b_perfect")
 
     def test_asymmetric_root_above_one(self, monkeypatch):
@@ -278,13 +302,13 @@ class TestInfeasibleBranches:
     def test_symmetric_roots_outside_unit_interval(self, monkeypatch):
         cf = self.single_setting(1.0, -4.0, 0.0)  # roots collapse at eta = 2
         self.force_bound(monkeypatch, -4.0)
-        with pytest.raises(InfeasibleEfficiencyError, match="no efficiency root"):
+        with pytest.raises(InfeasibleEfficiencyError, match="outside"):
             critical_efficiency(cf, self.detected_behavior(), "symmetric")
 
     def test_symmetric_negative_discriminant(self, monkeypatch):
         cf = self.single_setting(1.0, 0.0, 0.0)  # J = 1, A + B = 0
         self.force_bound(monkeypatch, -1.0)  # (A + B)^2 + 4 J C = -4
-        with pytest.raises(InfeasibleEfficiencyError, match="no real root"):
+        with pytest.raises(InfeasibleEfficiencyError, match="outside"):
             critical_efficiency(cf, self.detected_behavior(), "symmetric")
 
     def test_symmetric_linear_case_solves(self, monkeypatch):
@@ -296,5 +320,5 @@ class TestInfeasibleBranches:
     def test_symmetric_constant_case_is_infeasible(self, monkeypatch):
         cf = self.single_setting(0.0, 0.0, 0.0)
         self.force_bound(monkeypatch, -1.0)
-        with pytest.raises(InfeasibleEfficiencyError, match="constant"):
+        with pytest.raises(InfeasibleEfficiencyError, match="outside"):
             critical_efficiency(cf, self.detected_behavior(), "symmetric")

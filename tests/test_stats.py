@@ -69,6 +69,14 @@ def loop_error_report(f, counts):
     return q, np.sqrt(var)
 
 
+def just_below_zero_behavior():
+    """Signaling 2x2 table with one entry 5e-10 below zero, inside the ingest tolerance."""
+    p = np.full(CHSH.joint_shape, 0.25)
+    p[0, 0, 0, 0] = -5e-10
+    p[0, 0, 0, 1] = 0.5 + 5e-10
+    return Behavior(CHSH, p)
+
+
 def loop_kl(f, p):
     total = 0.0
     for x in range(f.scenario.m):
@@ -103,6 +111,11 @@ class TestCountTable:
         c[0, 0, 0, 0] = bad
         with pytest.raises(DomainError):
             CountTable(CHSH, c)
+
+    @pytest.mark.parametrize("dtype", [bool, complex, str])
+    def test_rejects_non_numeric_dtypes(self, dtype):
+        with pytest.raises(DomainError, match="dtype"):
+            CountTable(CHSH, np.ones(CHSH.joint_shape, dtype=dtype))
 
     @pytest.mark.parametrize("count", [4 * 10**18, 2**52])
     def test_rejects_blocks_beyond_exact_float_totals(self, count):
@@ -189,6 +202,9 @@ class TestPoissonSample:
         np.testing.assert_array_equal(
             poisson_sample(b, np.int64(1000), seed=4).c, poisson_sample(b, 1000, seed=4).c
         )
+
+    def test_entry_just_below_zero_samples_no_counts(self):
+        assert poisson_sample(just_below_zero_behavior(), 1000, seed=1).c[0, 0, 0, 0] == 0
 
 
 class TestErrorPropagation:
@@ -282,6 +298,10 @@ class TestKlDivergence:
         with pytest.raises(InfiniteDivergenceError):
             kl_divergence(f, tilted_behavior(2.0))
 
+    def test_entry_just_below_zero_is_a_vanishing_entry(self):
+        with pytest.raises(InfiniteDivergenceError):
+            kl_divergence(uniform_behavior(CHSH), just_below_zero_behavior())
+
     def test_scenario_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             kl_divergence(uniform_behavior(CHSH), uniform_behavior(Scenario(3, 2)))
@@ -299,6 +319,11 @@ class TestNsProject:
         assert ns_residual(proj).max <= 1e-8
         assert ns_project(proj) is proj
         np.testing.assert_array_equal(proj.setting_weights, f.setting_weights)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entry_just_below_zero_projects_without_invalid_values(self):
+        proj = ns_project(just_below_zero_behavior())
+        assert ns_residual(proj).max <= 1e-8
 
     def test_projection_beats_random_ns_candidates(self):
         rng = np.random.default_rng(6)
