@@ -22,10 +22,19 @@ from .errors import DomainError, ShapeMismatchError, ValidationError
 INGEST_TOL = 1e-9
 INTERNAL_TOL = 1e-12
 
+# A value this close to a bound, relative to max(1, |bound|), sits on it:
+# a smaller gap is rounding, not a violation (_on_bound).
+_EQUALITY_TOL = 1e-12
+
 
 def _is_integer(value) -> bool:
     """True for Python and numpy integers, False for booleans (True == 1 in Python)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _on_bound(value: float, bound: float) -> bool:
+    """The one "on the bound" rule: |value - bound| <= _EQUALITY_TOL * max(1, |bound|)."""
+    return abs(value - bound) <= _EQUALITY_TOL * max(1.0, abs(bound))
 
 
 def _freeze(obj, name: str, values, shape, dtype=float) -> np.ndarray:

@@ -5,8 +5,9 @@ strategies (one fixed outcome per setting and party), so the bound is the
 maximum of d^(2m) linear scores.  Marginal blocks are folded into the
 joint table first (``core._folded_joint``: a marginal of a deterministic
 strategy is the average of its joint entries), so the enumerators score
-joint tables only.  Two equivalent enumeration routes are used: small
-scenarios precompute the full strategy-table matrix, larger ones
+joint tables only.  ``strategy_tables`` is the one builder of the
+strategies' joint tables.  Two equivalent enumeration routes are used:
+small scenarios score all of those tables in one product, larger ones
 enumerate Alice's assignments and exploit that Bob's best response
 decomposes per setting.  Both enumerate in lexicographic order on
 (assign_a, assign_b).  One cached enumerator per scenario picks the route.
@@ -75,25 +76,32 @@ def _one_hot(assign, d: int) -> np.ndarray:
     return (np.asarray(assign)[..., None] == np.arange(d)).astype(float)
 
 
+@lru_cache(maxsize=None)
+def strategy_tables(m: int, d: int) -> np.ndarray:
+    """Flat joint tables of all d^(2m) deterministic strategy pairs, one per row.
+
+    Row k belongs to Alice's assignment k // d^m and Bob's k % d^m, so rows
+    run in lexicographic order on (assign_a, assign_b).  Cached per (m, d);
+    the array is read-only and C-contiguous, shape (d^(2m), m*m*d*d).
+    """
+    hot = _one_hot(_assignment_array(m, d), d)
+    pairs = np.einsum("ixa,jyb->ijxyab", hot, hot)
+    tables = np.ascontiguousarray(pairs).reshape(len(hot) ** 2, -1)
+    tables.setflags(write=False)
+    return tables
+
+
 def _tie_tolerance(bound: float) -> float:
     """Scores this close to the bound count as maximal."""
     return 1e-9 * max(1.0, abs(bound))
 
 
 class _MatrixRoute:
-    """Scores all strategy pairs with one product against one-hot tables.
-
-    tables_j has shape (n, m*m*d*d) with n = d^(2m); row k belongs to
-    Alice's assignment k // d^m and Bob's k % d^m, so rows run in
-    lexicographic order.
-    """
+    """Scores all strategy pairs with one product against strategy_tables(m, d)."""
 
     def __init__(self, m: int, d: int):
         self.assign = _assignment_array(m, d)
-        hot = _one_hot(self.assign, d)
-        pairs = np.einsum("ixa,jyb->ijxyab", hot, hot)
-        self.tables_j = np.ascontiguousarray(pairs).reshape(len(hot) ** 2, -1)
-        self.tables_j.setflags(write=False)
+        self.tables_j = strategy_tables(m, d)
 
     def bound(self, joint, tau=0.0):
         """(bound, callable giving its flat gradient table); see make_joint_bound_oracle."""
@@ -177,7 +185,7 @@ class _ResponseRoute:
 
 @lru_cache(maxsize=None)
 def _cached_route(m: int, d: int, matrix: bool):
-    """The only enumeration cache: tables and assignments live on the route."""
+    """The route cache; the matrix route's tables are strategy_tables' cached array."""
     return _MatrixRoute(m, d) if matrix else _ResponseRoute(m, d)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Behavior, BellFunctional, Scenario, _fold, _freeze, marginals
+from .core import Behavior, BellFunctional, Scenario, _fold, _freeze, _on_bound, marginals
 from .errors import (
     DomainError,
     InfeasibleEfficiencyError,
@@ -30,13 +30,9 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedScenarioError,
 )
-from .lhv import _route
+from .lhv import make_joint_bound_oracle
 
 EFFICIENCY_MODES = ("asymmetric_b_perfect", "symmetric")
-
-# Violations smaller than this (relative to the bound) count as sitting
-# exactly on the bound, where eta = 1 is the root.
-_EQUALITY_TOL = 1e-12
 
 # Roots must clear 0, and may pass 1, by this much; eta is capped at 1.
 _ROOT_TOL = 1e-12
@@ -135,15 +131,16 @@ def canonical_lhv_bound(cf: CanonicalFunctional) -> float:
 
     The coefficients go into the outcome-0 slots of coefficient tables whose
     other entries are zero; their folded joint table is scored by the same
-    enumeration route as ``lhv_bound``, which gives the same bound without
-    validating a functional or listing the maximizers.
+    enumerator as ``lhv_bound``, through ``make_joint_bound_oracle``, which
+    gives the same bound without validating a functional or listing the
+    maximizers.
     """
     sc = cf.scenario
     joint = np.zeros(sc.joint_shape)
     joint[:, :, 0, 0] = cf.joint0
     marg_a, marg_b = np.zeros(sc.marginal_shape), np.zeros(sc.marginal_shape)
     marg_a[:, 0], marg_b[:, 0] = cf.marg_a0, cf.marg_b0
-    return _route(sc).bound(_fold(joint, marg_a, marg_b).ravel())[0]
+    return make_joint_bound_oracle(sc)(_fold(joint, marg_a, marg_b).ravel())[0]
 
 
 def critical_efficiency(
@@ -164,24 +161,22 @@ def critical_efficiency(
     Bob's best answer" is an enumerated strategy, so B <= C; hence
     g(0) = -k <= 0 < g(1) for a violating b, and the threshold is g's one
     crossing in [0, 1), (-lin + sqrt(lin^2 + 4 a k)) / (2 a), or k / lin
-    when a = 0.  A behavior exactly at the bound returns eta = 1, except on
-    the zero functional, which no behavior violates.
+    when a = 0.  A behavior on the bound (core._on_bound) returns eta = 1,
+    except on the zero functional, which no behavior violates.
     """
     if mode not in EFFICIENCY_MODES:
         raise DomainError(f"mode must be one of {EFFICIENCY_MODES}, got {mode!r}")
     j, ta, tb = canonical_terms(cf, b)
-    c = canonical_lhv_bound(cf)
-    gap = j + ta + tb - c
-    tol = _EQUALITY_TOL * max(1.0, abs(c))
-    if gap < -tol:
-        raise NoViolationError(
-            f"behavior does not violate the canonical bound: value {j + ta + tb!r} <= {c!r}"
-        )
-    if gap <= tol:
+    value, c = j + ta + tb, canonical_lhv_bound(cf)
+    if _on_bound(value, c):
         # Every behavior is on the bound 0 of the zero functional.
         if not (cf.joint0.any() or cf.marg_a0.any() or cf.marg_b0.any()):
             raise NoViolationError("the canonical functional is zero; no behavior violates it")
         return EfficiencyResult(1.0, 1.0, mode)
+    if value < c:
+        raise NoViolationError(
+            f"behavior does not violate the canonical bound: value {value!r} <= {c!r}"
+        )
 
     symmetric = mode == "symmetric"
     a, lin, k = (j, ta + tb, c) if symmetric else (0.0, j + ta, c - tb)

@@ -49,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BellFunctional, _is_integer
+from .core import BellFunctional, _is_integer, _on_bound
 from .errors import DegenerateObjectiveError, DomainError
-from .lhv import _route, lhv_bound, make_joint_bound_oracle
+from .lhv import lhv_bound, make_joint_bound_oracle, strategy_tables
 from .stats import CountTable, error_propagation
 
 # Sentinel returned when the shifted denominator C + dm falls below
@@ -154,14 +154,19 @@ class OptimizationResult:
 
 
 def sdn(q: float, delta_q: float, c: float) -> float:
-    """Standard-deviation number (q - c)/delta_q; +inf, -inf or 0 by sign(q - c) at delta_q = 0."""
+    """Standard-deviation number (q - c)/delta_q, or +inf/-inf by sign(q - c) at delta_q = 0.
+
+    It is 0 whatever delta_q when q sits on the bound c (core._on_bound):
+    a block-constant functional has q = c on every behavior, so a smaller
+    gap is rounding, not a violation.
+    """
     if not delta_q >= 0:
         raise DomainError(f"delta_q must be nonnegative, got {delta_q!r}")
+    if _on_bound(q, c):
+        return 0.0
     if delta_q > 0:
         return (q - c) / delta_q
-    if q > c:
-        return math.inf
-    return -math.inf if q < c else 0.0
+    return math.inf if q > c else -math.inf
 
 
 def r_value(q: float, delta_q: float, c: float, dm: float) -> float:
@@ -460,11 +465,9 @@ def _local_bracket(model, bound_oracle):
 
 
 def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
-    """Best R in the box: exact on 2x2, elsewhere restarts unless a local model rules them out.
+    """Best R in the box, by the path the module docstring gives for the scenario.
 
-    On 2x2 counts the single candidate is the exact maximizer, found by
-    one SLSQP solve of the Charnes-Cooper program and certified by its KKT
-    multipliers, and the result does not depend on cfg.seed.  Elsewhere
+    The exact 2x2 result does not depend on cfg.seed.  On the restart path
     restart i draws its start from a generator seeded by (seed, i), so runs
     are reproducible and a restart prefix is deterministic regardless of
     the total count.
@@ -475,12 +478,9 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     gap q - c exceeds SIGNIFICANCE_SDN error units, which filters the fluke
     violations that finite-count noise produces on perfectly local data.
     Among significant candidates the largest r wins, ties keeping the
-    earliest restart.  Before the restarts, _local_bracket looks for a
-    local model within SIGNIFICANCE_SDN error units of the frequencies; one
-    bounds q - c by that distance times dQ for every functional, so no
-    restart could displace the backstop, and the backstop is returned with
-    the restarts skipped.  Every field but engine_trace is then the one the
-    restarts would give.
+    earliest restart.  When _local_bracket's local model rules out every
+    candidate, the backstop is returned with the restarts skipped; every
+    field but engine_trace is then the one the restarts would give.
     """
     sc = counts.scenario
     dm = sc.d * sc.m
@@ -488,16 +488,10 @@ def maximize_r(counts: CountTable, cfg: OptimizerConfig = OptimizerConfig()) -> 
     bound_oracle = make_joint_bound_oracle(sc)
     n = (sc.d * sc.m) ** 2
 
-    # Exact only on 2x2 (module docstring): m > d has the pole at
-    # C + dm -> 0+ (an m^2 shift removes it but finds weaker witnesses),
-    # and on local 3x3 counts the exact optimum passes the uncalibrated
-    # SIGNIFICANCE_SDN gate (R = 1.0048, SDN 3.65).  Elsewhere, when a local
-    # model puts q - C <= ub dQ for every s with ub below the gate, no
-    # restart could clear it, so the backstop is the answer and its R = 1
-    # the only trace entry.
+    # The three paths, and why only 2x2 is solved exactly: module docstring.
     r_upper = math.inf
     if (sc.m, sc.d) == (2, 2):
-        s_x, r_x, r_upper = _charnes_cooper(model, _route(sc).tables_j, dm)
+        s_x, r_x, r_upper = _charnes_cooper(model, strategy_tables(2, 2), dm)
         runs = [(s_x, r_x)]
     elif _local_bracket(model, bound_oracle)[1] <= _CLEARED_SDN:
         runs = [(np.zeros(n), 1.0)]

@@ -81,11 +81,8 @@ def tilted_functional(alpha: float) -> BellFunctional:
     """Tilted coefficients at m = d = 2: CHSH correlators plus an alpha <A0> term."""
     alpha = _check_alpha(alpha)
     sc = Scenario(2, 2)
-    joint = np.empty(sc.joint_shape)
-    for x in range(2):
-        for y in range(2):
-            sign = -1.0 if x == 1 and y == 1 else 1.0
-            joint[x, y] = sign * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    # CHSH signs over (x, y) times the parity table over (a, b).
+    joint = np.multiply.outer([[1.0, 1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, 1.0]])
     marginal_a = np.zeros(sc.marginal_shape)
     marginal_a[0] = (alpha, -alpha)
     return BellFunctional(sc, joint, marginal_a, None)

@@ -179,38 +179,25 @@ def kl_divergence(f: Behavior, p: Behavior) -> float:
 def _ns_constraint_matrix(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Stacked equality rows: block normalization and equal cross-party marginals.
 
+    Each row set is an outer product of identity tables, over the columns
+    (X, Y, A, B) of the flat joint table.  Row (x, y) sums block (x, y).
+    Row (x, a, y) of Alice's marginal rows takes p(a|x, y) - p(a|x, 0), for
+    y >= 1, and row (y, b, x) of Bob's takes p(b|x, y) - p(b|0, y), for
+    x >= 1.  Outcome d-1 is skipped: its row is implied by normalization
+    plus the others, and keeping it would make the system rank-deficient.
     Cached per scenario; both arrays are read-only.
     """
     m, d = sc.m, sc.d
-    n = m * m * d * d
-    idx = np.arange(n).reshape(sc.joint_shape)
-    rows = []
-    for x in range(m):
-        for y in range(m):
-            r = np.zeros(n)
-            r[idx[x, y].ravel()] = 1.0
-            rows.append(r)
-    targets = [1.0] * len(rows)
-    # Alice's marginal must not depend on y, Bob's must not depend on x.
-    # Outcome d-1 is skipped: its row is implied by normalization plus the
-    # others, and keeping it would make the system rank-deficient.
-    for x in range(m):
-        for a in range(d - 1):
-            for y in range(1, m):
-                r = np.zeros(n)
-                r[idx[x, y, a, :]] = 1.0
-                r[idx[x, 0, a, :]] -= 1.0
-                rows.append(r)
-                targets.append(0.0)
-    for y in range(m):
-        for b in range(d - 1):
-            for x in range(1, m):
-                r = np.zeros(n)
-                r[idx[x, y, :, b]] = 1.0
-                r[idx[0, y, :, b]] -= 1.0
-                rows.append(r)
-                targets.append(0.0)
-    a_eq, b_eq = np.array(rows), np.array(targets)
+    eye_m, eye_d, ones_d = np.eye(m), np.eye(d), np.ones(d)
+    step = eye_m[1:] - eye_m[0]  # row k is setting k+1 minus setting 0
+    blocks = (
+        np.einsum("xX,yY,A,B->xyXYAB", eye_m, eye_m, ones_d, ones_d),
+        np.einsum("xX,yY,aA,B->xayXYAB", eye_m, step, eye_d[:-1], ones_d),
+        np.einsum("yY,xX,bB,A->ybxXYAB", eye_m, step, eye_d[:-1], ones_d),
+    )
+    a_eq = np.concatenate([rows.reshape(-1, m * m * d * d) for rows in blocks])
+    b_eq = np.zeros(len(a_eq))
+    b_eq[: m * m] = 1.0  # the normalization rows come first
     a_eq.setflags(write=False)
     b_eq.setflags(write=False)
     return a_eq, b_eq

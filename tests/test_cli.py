@@ -140,6 +140,20 @@ class TestEvaluate:
         assert value_of(dq_line) == 0.0
         assert sdn_line == "SDN = 0"
 
+    @pytest.mark.parametrize("coefficient, behavior, seed", [
+        (-1.0, uniform_behavior(Scenario(3, 2)), 1),  # rounds to dQ = 0 and Q = C - 2e-15
+        (0.3, tilted_behavior(1.0), 3),  # rounds to dQ = 1.75e-19
+    ], ids=["uniform_3x2_all_minus_1", "tilted_2x2_all_0.3"])
+    def test_block_constant_functional_reports_zero_sdn(self, tmp_path, capsys,
+                                                         coefficient, behavior, seed):
+        # Q = C on every behavior, so only rounding separates them.
+        sc = behavior.scenario
+        functional, counts = tmp_path / "f.json", tmp_path / "counts.json"
+        io.write_functional(functional, BellFunctional(sc, np.full(sc.joint_shape, coefficient)))
+        io.write_counts(counts, poisson_sample(behavior, 100_000, seed))
+        assert main(["evaluate", str(functional), str(counts)]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "SDN = 0"
+
     def test_schema_error_exit_code(self, data_dir, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format_version": 1, "kind": "behavior"}\n')

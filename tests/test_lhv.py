@@ -197,13 +197,17 @@ class TestBestResponsePath:
             assert isinstance(lhv_module._route(sc), lhv_module._ResponseRoute), sc
 
     def test_matrix_rows_are_the_strategy_tables_in_order(self):
-        sc = Scenario(3, 2)
-        route = lhv_module._route(sc)
-        tables, assign = route.tables_j, route.assign
-        assert tables.flags.c_contiguous and not tables.flags.writeable
-        for k, row in enumerate(tables):
-            strat = DeterministicStrategy(assign[k // len(assign)], assign[k % len(assign)])
-            np.testing.assert_array_equal(row, strategy_behavior(strat, sc).p.ravel())
+        for m, d in [(2, 2), (3, 2), (2, 3)]:
+            sc = Scenario(m, d)
+            tables = lhv_module.strategy_tables(m, d)
+            assert tables.flags.c_contiguous and not tables.flags.writeable
+            assert lhv_module.strategy_tables(m, d) is tables
+            assign = list(itertools.product(range(d), repeat=m))
+            assert tables.shape == (len(assign) ** 2, m * m * d * d)
+            for k, row in enumerate(tables):
+                strat = DeterministicStrategy(assign[k // len(assign)], assign[k % len(assign)])
+                np.testing.assert_array_equal(row, strategy_behavior(strat, sc).p.ravel())
+            assert lhv_module._route(sc).tables_j is tables
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bound_and_maximizers_agree(self, seed, monkeypatch):

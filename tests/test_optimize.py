@@ -37,7 +37,7 @@ from bellgap import (
 )
 from bellgap import lhv as lhv_module
 from bellgap import optimize as optimize_module
-from bellgap.lhv import make_joint_bound_oracle, strategy_behavior
+from bellgap.lhv import make_joint_bound_oracle, strategy_behavior, strategy_tables
 from bellgap.lhv import DeterministicStrategy
 from bellgap.cli import main
 from bellgap.optimize import PENALTY_R, SIGNIFICANCE_SDN, _CountModel
@@ -186,6 +186,7 @@ class TestSdn:
         (3.0, 0.0, math.inf),
         (1.0, 0.0, -math.inf),
         (2.0, 0.0, 0.0),
+        (2.0 + 4e-16, 0.0, 0.0),  # on the bound: the gap is rounding
         (4.0, -1.0, DomainError),
         (4.0, math.nan, DomainError),
     ])
@@ -411,7 +412,8 @@ class TestOneEvaluation:
         assert any(f is res.functional for f in propagations)
 
     @pytest.mark.parametrize("path, route", [
-        ("exact_2x2", "_MatrixRoute"), ("restarts", "_MatrixRoute"), ("restarts", "_ResponseRoute"),
+        ("exact_2x2", "_MatrixRoute"), ("exact_2x2", "_ResponseRoute"),
+        ("restarts", "_MatrixRoute"), ("restarts", "_ResponseRoute"),
     ])
     def test_c_is_the_lhv_bound_bit_for_bit(self, monkeypatch, path, route):
         counts, cfg, _ = PATHS[path]
@@ -529,7 +531,7 @@ class TestExactPath:
 
         counts = CERTIFY_2X2[name]
         model = _CountModel(counts)
-        tables = lhv_module._route(CHSH).tables_j
+        tables = strategy_tables(2, 2)
         s, _, r_upper = optimize_module._charnes_cooper(model, tables, DM)
         _, dq, ls = model.propagate(s)
         v = model.freq_flat - model.grad_dq(ls, dq)
@@ -696,7 +698,7 @@ class TestLocalBracket:
     @pytest.mark.parametrize("name", ALL_2X2)
     def test_ub_bounds_the_sdn_of_the_exact_optimum(self, name):
         counts = ALL_2X2[name]
-        tables = lhv_module._route(CHSH).tables_j
+        tables = strategy_tables(2, 2)
         s, _, _ = optimize_module._charnes_cooper(_CountModel(counts), tables, DM)
         assert _scored_sdn(counts, s) <= _bracket(counts)[1] * (1.0 + 1e-12)
 
@@ -729,7 +731,7 @@ class TestLocalBracket:
         # the model on positive counts, at D = 2.29.
         sc = Scenario(3, 2)
         rng = np.random.default_rng(4)
-        picks = lhv_module._route(sc).tables_j[rng.choice(64, 3, replace=False)]
+        picks = strategy_tables(sc.m, sc.d)[rng.choice(64, 3, replace=False)]
         p = (rng.dirichlet(np.ones(3)) @ picks).reshape(sc.joint_shape)
         counts = poisson_sample(Behavior(sc, p), 10**9, seed=4)
         _, ub, _, tables = _bracket(counts)

@@ -307,6 +307,28 @@ class TestKlDivergence:
             kl_divergence(uniform_behavior(CHSH), uniform_behavior(Scenario(3, 2)))
 
 
+class TestNsConstraintRows:
+    @pytest.mark.parametrize("m, d", [(1, 2), (2, 3), (3, 2), (4, 3), (6, 4)])
+    def test_rows_are_normalization_and_marginal_differences(self, m, d):
+        sc = Scenario(m, d)
+        a_eq, b_eq = stats_module._ns_constraint_matrix(sc)
+        assert a_eq.shape == (m * m + 2 * m * (m - 1) * (d - 1), m * m * d * d)
+        assert np.linalg.matrix_rank(a_eq) == len(a_eq)
+        rng = np.random.default_rng(70 + 10 * m + d)
+        for _ in range(3):
+            # Every block drawn on its own: the marginals signal.
+            p = rng.dirichlet(np.ones(d * d), size=(m, m)).reshape(sc.joint_shape)
+            alice, bob = p.sum(axis=3), p.sum(axis=2)  # [x, y, a] and [x, y, b]
+            expect = np.concatenate([
+                p.sum(axis=(2, 3)).ravel() - 1.0,
+                # rows (x, a, y): p(a|x, y) - p(a|x, 0) for y >= 1, a < d - 1
+                (alice[:, 1:, :-1] - alice[:, :1, :-1]).transpose(0, 2, 1).ravel(),
+                # rows (y, b, x): p(b|x, y) - p(b|0, y) for x >= 1, b < d - 1
+                (bob[1:, :, :-1] - bob[:1, :, :-1]).transpose(1, 2, 0).ravel(),
+            ])
+            np.testing.assert_allclose(a_eq @ p.ravel() - b_eq, expect, rtol=0, atol=1e-14)
+
+
 class TestNsProject:
     def test_no_signaling_input_passes_through(self):
         b = random_ns_behavior(CHSH, np.random.default_rng(4))
